@@ -93,133 +93,6 @@ SimPool::workerMain()
     }
 }
 
-namespace
-{
-
-inline void
-cpuRelax()
-{
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#elif defined(__aarch64__) || defined(__arm__)
-    asm volatile("yield" ::: "memory");
-#endif
-}
-
-} // namespace
-
-ShardCrew::ShardCrew(u32 workers) : workers_(std::max(1u, workers))
-{
-    // Spinning only pays when every crew member can hold a core; on an
-    // oversubscribed host (more workers than hardware threads) a
-    // spinning partner steals the core its peer needs, so yield at
-    // once and let the scheduler rotate the crew.
-    const unsigned hw = std::thread::hardware_concurrency();
-    spinLimit_ = (hw != 0 && workers_ > hw) ? 0 : 4096;
-    errors_.resize(workers_);
-    threads_.reserve(workers_ - 1);
-    for (u32 w = 1; w < workers_; ++w)
-        threads_.emplace_back([this, w] { workerMain(w); });
-}
-
-ShardCrew::~ShardCrew()
-{
-    stop_ = true;
-    epoch_.fetch_add(1, std::memory_order_release);
-    for (std::thread &t : threads_)
-        t.join();
-}
-
-void
-ShardCrew::runEpoch(u32 w, const std::function<void(u32)> *fn)
-{
-    try {
-        (*fn)(w);
-    } catch (...) {
-        errors_[w] = std::current_exception();
-    }
-}
-
-void
-ShardCrew::setTelemetry(CrewTelemetry *telem)
-{
-    if (telem)
-        telem->lanes.resize(workers_);
-    // Release so a worker's acquire load sees the resized lanes.
-    telem_.store(telem, std::memory_order_release);
-}
-
-void
-ShardCrew::workerMain(u32 w)
-{
-    u64 seen = 0;
-    for (;;) {
-        // Telemetry clocks bracket only the spin — wall-clock reads
-        // taken while the lane is idle anyway, so an instrumented crew
-        // costs nothing on the critical path.
-        CrewTelemetry *telem = telem_.load(std::memory_order_acquire);
-        const u64 t0 = telem ? hostNowNs() : 0;
-        // Spin on the epoch; fall back to yield after a while so an
-        // idle crew (serial fallback stretches, sampled fast windows)
-        // does not monopolize host cores.
-        u32 spins = 0;
-        while (epoch_.load(std::memory_order_acquire) == seen) {
-            if (++spins < spinLimit_)
-                cpuRelax();
-            else
-                std::this_thread::yield();
-        }
-        ++seen;
-        if (telem) {
-            CrewTelemetry::Lane &lane = telem->lanes[w];
-            lane.waitNanos += hostNowNs() - t0;
-            ++lane.epochs;
-        }
-        if (stop_)
-            return;
-        runEpoch(w, fn_);
-        done_.fetch_add(1, std::memory_order_release);
-    }
-}
-
-void
-ShardCrew::run(const std::function<void(u32)> &fn)
-{
-    if (threads_.empty()) {
-        fn(0);
-        return;
-    }
-    fn_ = &fn;
-    done_.store(0, std::memory_order_relaxed);
-    epoch_.fetch_add(1, std::memory_order_release);
-
-    runEpoch(0, &fn);
-
-    CrewTelemetry *telem = telem_.load(std::memory_order_relaxed);
-    const u64 t0 = telem ? hostNowNs() : 0;
-    const u32 others = u32(threads_.size());
-    u32 spins = 0;
-    while (done_.load(std::memory_order_acquire) != others) {
-        if (++spins < spinLimit_)
-            cpuRelax();
-        else
-            std::this_thread::yield();
-    }
-    if (telem) {
-        telem->coordWaitNanos += hostNowNs() - t0;
-        ++telem->epochs;
-    }
-    fn_ = nullptr;
-    for (std::exception_ptr &e : errors_) {
-        if (e) {
-            std::exception_ptr rethrow = e;
-            for (std::exception_ptr &clear : errors_)
-                clear = nullptr;
-            std::rethrow_exception(rethrow);
-        }
-    }
-}
-
 void
 SimPool::forEach(size_t count, const std::function<void(size_t)> &fn)
 {

@@ -71,7 +71,7 @@ struct HostTraceEvent
     u64 durNs;        ///< span length ('X'); ignored for 'C'
     const char *name; ///< static string; never freed
     u64 arg;          ///< span argument or counter value
-    u32 track;        ///< host thread track (0 = engine, 1.. = lanes)
+    u32 track;        ///< host thread track (index into tracks)
     u8 phase;         ///< 'X' complete or 'C' counter
 };
 

@@ -8,10 +8,12 @@ BENCH_simperf.json reports (bench_simperf --json) or two run manifests
 (cyclops-manifest-v1, from cyclops-run --manifest or any bench's
 --manifest flag).
 
-For simperf reports every workload row is matched by name and every
-engine row by (name, workers); cyclesPerSec and mips must not drop by
-more than the tolerance. For manifests the headline run.cyclesPerSec
-and run.mips are compared.
+For simperf reports every workload row is matched by name;
+cyclesPerSec and mips must not drop by more than the tolerance. Rows
+of the retired cycle-engine comparison (the "engines" array and its
+"engine_*" workload rows in older reports) are ignored, so an older
+report still compares cleanly against a current one. For manifests
+the headline run.cyclesPerSec and run.mips are compared.
 
 Wall-clock noise is real, especially on small shared hosts, so the
 tolerance is noise-aware: the effective bound is
@@ -93,9 +95,15 @@ def baseline_cov(doc):
     return worst
 
 
+def workload_rows(doc):
+    """Workload rows by name, minus retired engine-comparison rows."""
+    return {w["name"]: w for w in doc.get("workloads", [])
+            if not w["name"].startswith("engine_")}
+
+
 def compare_simperf(base, cur, tolerance_pct):
-    base_wl = {w["name"]: w for w in base.get("workloads", [])}
-    cur_wl = {w["name"]: w for w in cur.get("workloads", [])}
+    base_wl = workload_rows(base)
+    cur_wl = workload_rows(cur)
     for name, bw in sorted(base_wl.items()):
         cw = cur_wl.get(name)
         if cw is None:
@@ -106,20 +114,7 @@ def compare_simperf(base, cur, tolerance_pct):
                        tolerance_pct)
         compare_metric(f"workload {name} mips",
                        bw["mips"], cw["mips"], tolerance_pct)
-
-    base_en = {(e["name"], e["workers"]): e
-               for e in base.get("engines", [])}
-    cur_en = {(e["name"], e["workers"]): e
-              for e in cur.get("engines", [])}
-    for key, be in sorted(base_en.items()):
-        ce = cur_en.get(key)
-        if ce is None:
-            regress(f"engine row {key[0]} (workers={key[1]}) "
-                    f"disappeared from the report")
-            continue
-        compare_metric(f"engine {key[0]} mips", be["mips"], ce["mips"],
-                       tolerance_pct)
-    return len(base_wl) + len(base_en)
+    return len(base_wl)
 
 
 def compare_manifest(base, cur, tolerance_pct):
