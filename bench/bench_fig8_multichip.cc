@@ -46,7 +46,7 @@ runPoint(const Options &opts, const Point &p)
     cfg.threads = 8;
     cfg.words = p.halo ? 32 : 64;
     cfg.iters = 2;
-    cfg.obs = opts.obs;
+    cfg.obs = opts.chip.obs;
     cfg.obs.tag = strprintf("fig8.%ux%ux%u.%s", p.shape.x, p.shape.y,
                             p.shape.z, p.halo ? "halo" : "stream");
     return p.halo ? runHaloExchange(cfg) : runDistributedStream(cfg);

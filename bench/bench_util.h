@@ -2,43 +2,10 @@
  * @file
  * Shared helpers for the paper-reproduction benchmark binaries.
  *
- * Every bench accepts:
- *   --quick   shrink sweeps (CI-sized run)
- *   --csv     emit CSV instead of aligned tables
- *   --scale N multiply problem sizes by N/100 (default 100)
- *   --jobs N  run independent simulation points on N host threads
- *             (0 = all hardware threads; also CYCLOPS_BENCH_JOBS)
- *
- * Degraded-chip passthrough (see DESIGN.md section 13; repeatable):
- *   --disable-tu/quad/fpu/dcache/icache/bank N   fuse off a component
- *   --cache-ways N    live D-cache ways per set (0 = all)
- *   --watchdog N      deadlock-watchdog window in cycles (0 = off)
- *
- * Observability passthrough (see DESIGN.md section 10; all default-off
- * and none of them change the simulated timing):
- *   --trace-out PATH      Chrome-trace JSON per simulated chip
- *   --trace-cats LIST     mem,cache,barrier,kernel,sched or "all"
- *   --trace-capacity N    tracer ring size in events
- *   --stats-json PATH     end-of-run counters/histograms JSON
- *   --stats-csv PATH      epoch-sampled counter time-series CSV
- *   --stats-interval N    epoch sample period in cycles
- *   --prof-out PATH       PC-sampling profile (JSON + .folded +
- *                         .heatmap.csv per simulated chip)
- *   --prof-interval N     PC sample period in cycles (default 512
- *                         when --prof-out is given)
- *   --fabric-stats PATH   fabric stats JSON (multi-chip benches;
- *                         schema cyclops-fabric-v1, validated by
- *                         tools/check_fabric.py)
- *   --fabric-heatmap PATH link/pair congestion heatmap CSV
- *                         (multi-chip benches; DESIGN.md section 17)
- *   --host-obs            host-side simulator telemetry (hostObs
- *                         section in stats JSON, host Chrome-trace
- *                         process; DESIGN.md section 15)
- *   --manifest PATH       per-run JSON manifest (config hash, git
- *                         describe, wall time) for
- *                         tools/check_regress.py
- * Paths may contain "%t", replaced by a per-sweep-point tag so
- * concurrent simulation points never share an output file.
+ * Every bench takes the rows of parseOptions() below: --quick, --csv,
+ * --jobs N (also CYCLOPS_BENCH_JOBS), --manifest, and the shared
+ * degraded-chip and observability rows of common/options.h. Output
+ * paths may contain "%t", a per-sweep-point tag.
  *
  * Simulation points are independent (one Chip each), so sweeps run
  * through cyclops::parallelSweep; results are collected in input
@@ -50,16 +17,15 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/config.h"
 #include "common/hostobs.h"
 #include "common/log.h"
+#include "common/options.h"
 #include "common/parallel.h"
 #include "common/table.h"
-#include "common/trace.h"
 #include "common/types.h"
 
 namespace cyclops::bench
@@ -69,142 +35,49 @@ struct Options
 {
     bool quick = false;
     bool csv = false;
-    u32 scale = 100;
     u32 jobs = 1;
-    ObsConfig obs;     ///< observability passthrough for simulated chips
-    FaultConfig fault; ///< degraded-chip fault map for simulated chips
+    ChipConfig chip; ///< obs and fault options for simulated chips
     std::string manifestOut; ///< per-run manifest path ("" = none)
     u64 startNs = 0;         ///< hostNowNs() at option parsing
 };
+
+/**
+ * A ChipConfig carrying the bench's observability and fault options,
+ * tagged so "%t" in output paths expands uniquely per sweep point.
+ */
+inline ChipConfig
+chipConfig(const Options &opts, const std::string &tag)
+{
+    ChipConfig cfg = opts.chip;
+    cfg.obs.tag = tag;
+    return cfg;
+}
 
 inline Options
 parseOptions(int argc, char **argv)
 {
     Options opts;
     opts.startNs = hostNowNs();
-    if (const char *env = std::getenv("CYCLOPS_BENCH_JOBS"))
-        opts.jobs = SimPool::resolveJobs(u32(std::atoi(env)));
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0) {
-            opts.quick = true;
-        } else if (std::strcmp(argv[i], "--csv") == 0) {
-            opts.csv = true;
-        } else if (std::strcmp(argv[i], "--scale") == 0 &&
-                   i + 1 < argc) {
-            opts.scale = u32(std::atoi(argv[++i]));
-        } else if (std::strcmp(argv[i], "--jobs") == 0 &&
-                   i + 1 < argc) {
-            opts.jobs = SimPool::resolveJobs(u32(std::atoi(argv[++i])));
-        } else if (std::strcmp(argv[i], "--trace-out") == 0 &&
-                   i + 1 < argc) {
-            opts.obs.traceOut = argv[++i];
-        } else if (std::strcmp(argv[i], "--trace-cats") == 0 &&
-                   i + 1 < argc) {
-            opts.obs.traceCats = parseTraceCats(argv[++i]);
-        } else if (std::strcmp(argv[i], "--trace-capacity") == 0 &&
-                   i + 1 < argc) {
-            opts.obs.traceCapacity = u32(std::atoi(argv[++i]));
-        } else if (std::strcmp(argv[i], "--stats-json") == 0 &&
-                   i + 1 < argc) {
-            opts.obs.statsJson = argv[++i];
-        } else if (std::strcmp(argv[i], "--stats-csv") == 0 &&
-                   i + 1 < argc) {
-            opts.obs.statsCsv = argv[++i];
-        } else if (std::strcmp(argv[i], "--stats-interval") == 0 &&
-                   i + 1 < argc) {
-            opts.obs.statsInterval = u32(std::atoi(argv[++i]));
-        } else if (std::strcmp(argv[i], "--prof-out") == 0 &&
-                   i + 1 < argc) {
-            opts.obs.profOut = argv[++i];
-        } else if (std::strcmp(argv[i], "--prof-interval") == 0 &&
-                   i + 1 < argc) {
-            opts.obs.profInterval = u32(std::atoi(argv[++i]));
-        } else if (std::strcmp(argv[i], "--fabric-stats") == 0 &&
-                   i + 1 < argc) {
-            opts.obs.fabricStats = argv[++i];
-        } else if (std::strcmp(argv[i], "--fabric-heatmap") == 0 &&
-                   i + 1 < argc) {
-            opts.obs.fabricHeatmap = argv[++i];
-        } else if (std::strcmp(argv[i], "--host-obs") == 0) {
-            opts.obs.hostObs = true;
-        } else if (std::strcmp(argv[i], "--manifest") == 0 &&
-                   i + 1 < argc) {
-            opts.manifestOut = argv[++i];
-        } else if (std::strcmp(argv[i], "--disable-tu") == 0 &&
-                   i + 1 < argc) {
-            opts.fault.disabledTus.push_back(u32(std::atoi(argv[++i])));
-        } else if (std::strcmp(argv[i], "--disable-quad") == 0 &&
-                   i + 1 < argc) {
-            opts.fault.disabledQuads.push_back(u32(std::atoi(argv[++i])));
-        } else if (std::strcmp(argv[i], "--disable-fpu") == 0 &&
-                   i + 1 < argc) {
-            opts.fault.disabledFpus.push_back(u32(std::atoi(argv[++i])));
-        } else if (std::strcmp(argv[i], "--disable-dcache") == 0 &&
-                   i + 1 < argc) {
-            opts.fault.disabledDcaches.push_back(
-                u32(std::atoi(argv[++i])));
-        } else if (std::strcmp(argv[i], "--disable-icache") == 0 &&
-                   i + 1 < argc) {
-            opts.fault.disabledIcaches.push_back(
-                u32(std::atoi(argv[++i])));
-        } else if (std::strcmp(argv[i], "--disable-bank") == 0 &&
-                   i + 1 < argc) {
-            opts.fault.disabledBanks.push_back(u32(std::atoi(argv[++i])));
-        } else if (std::strcmp(argv[i], "--cache-ways") == 0 &&
-                   i + 1 < argc) {
-            opts.fault.cacheWays = u32(std::atoi(argv[++i]));
-        } else if (std::strcmp(argv[i], "--watchdog") == 0 &&
-                   i + 1 < argc) {
-            opts.fault.watchdogCycles = u64(std::atoll(argv[++i]));
-        } else {
-            std::fprintf(
-                stderr,
-                "usage: %s [--quick] [--csv] [--scale N] [--jobs N]\n"
-                "          [--disable-tu N] [--disable-quad N] "
-                "[--disable-fpu N]\n"
-                "          [--disable-dcache N] [--disable-icache N]\n"
-                "          [--disable-bank N] [--cache-ways N] "
-                "[--watchdog N]\n"
-                "          [--trace-out P] [--trace-cats LIST]\n"
-                "          [--trace-capacity N] [--stats-json P]\n"
-                "          [--stats-csv P] [--stats-interval N]\n"
-                "          [--prof-out P] [--prof-interval N]\n"
-                "          [--fabric-stats P] [--fabric-heatmap P]\n"
-                "          [--host-obs] [--manifest P]\n",
-                argv[0]);
-            std::exit(2);
-        }
+    OptionTable table(argv[0]);
+    table.add(switchOpt("--quick", "CI-sized sweeps", opts.quick))
+        .add(switchOpt("--csv", "CSV instead of aligned tables", opts.csv))
+        .add(numOpt("--jobs", "N", "host threads (0 = all)", opts.jobs));
+    addFaultOptions(table, opts.chip.fault);
+    addObsOptions(table, opts.chip.obs, true);
+    table.add(textOpt("--manifest", "P", "per-run manifest JSON",
+                      opts.manifestOut));
+    // The environment default parses exactly like "--jobs N".
+    if (const char *env = std::getenv("CYCLOPS_BENCH_JOBS")) {
+        const char *envArgs[] = {argv[0], "--jobs", env};
+        if (const std::string err = table.parse(3, envArgs); !err.empty())
+            table.fail("CYCLOPS_BENCH_JOBS: " + err);
     }
-    // Tracing to an output file needs at least one enabled category;
-    // default to all of them so --trace-out alone does what you mean.
-    if (!opts.obs.traceOut.empty() && opts.obs.traceCats == 0)
-        opts.obs.traceCats = kTraceAll;
-    // Same convenience for profiling: --prof-out alone enables sampling.
-    if (!opts.obs.profOut.empty() && opts.obs.profInterval == 0)
-        opts.obs.profInterval = 512;
-    if (const char *env = std::getenv("CYCLOPS_BENCH_QUICK"))
-        if (env[0] == '1')
-            opts.quick = true;
+    table.parseOrExit(argc, argv);
+    opts.jobs = SimPool::resolveJobs(opts.jobs);
+    // A fault map the chip cannot take is a command-line mistake too.
+    if (const std::string err = opts.chip.check(); !err.empty())
+        table.fail(err);
     return opts;
-}
-
-/**
- * A ChipConfig carrying the bench's observability options, tagged so
- * "%t" in output paths expands uniquely per sweep point.
- */
-inline ChipConfig
-chipConfig(const Options &opts, const std::string &tag)
-{
-    ChipConfig cfg;
-    cfg.obs = opts.obs;
-    cfg.obs.tag = tag;
-    cfg.fault = opts.fault;
-    if (const std::string err = cfg.check(); !err.empty()) {
-        std::fprintf(stderr, "bad chip configuration: %s\n",
-                     err.c_str());
-        std::exit(2);
-    }
-    return cfg;
 }
 
 /**

@@ -10,7 +10,7 @@ namespace cyclops
 const char *const kTraceCatNames[kNumTraceCats] = {
     "mem", "cache", "barrier", "kernel", "sched", "host", "net"};
 
-u8
+std::optional<u8>
 parseTraceCats(const std::string &spec)
 {
     if (spec.empty() || spec == "none")
@@ -24,18 +24,11 @@ parseTraceCats(const std::string &spec)
         if (comma == std::string::npos)
             comma = spec.size();
         const std::string name = spec.substr(pos, comma - pos);
-        bool found = false;
-        for (u32 i = 0; i < kNumTraceCats; ++i) {
-            if (name == kTraceCatNames[i]) {
-                mask |= u8(1u << i);
-                found = true;
-                break;
-            }
-        }
-        if (!found)
-            fatal("unknown trace category '%s' (valid: "
-                  "mem,cache,barrier,kernel,sched,host,net,all,none)",
-                  name.c_str());
+        const auto *end = kTraceCatNames + kNumTraceCats;
+        const auto *cat = std::find(kTraceCatNames, end, name);
+        if (cat == end)
+            return std::nullopt;
+        mask |= u8(1u << (cat - kTraceCatNames));
         pos = comma + 1;
     }
     return mask;

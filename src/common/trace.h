@@ -19,6 +19,7 @@
 #define CYCLOPS_COMMON_TRACE_H
 
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -53,9 +54,9 @@ inline constexpr u8 kTraceAll = (1u << kNumTraceCats) - 1;
 
 /**
  * Parse a comma-separated category list ("mem,barrier", "all", "none",
- * "") into a mask. fatal() on an unknown category name.
+ * "") into a mask; nullopt if it names an unknown category.
  */
-u8 parseTraceCats(const std::string &spec);
+std::optional<u8> parseTraceCats(const std::string &spec);
 
 /**
  * One host-side trace event. Unlike guest events, timestamps are host

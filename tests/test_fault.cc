@@ -181,6 +181,19 @@ struct World
     {}
 };
 
+/**
+ * Spin loading @p flag forever. A coroutine function rather than a
+ * capturing coroutine lambda: GuestTask starts suspended, so the body
+ * runs after spawn()'s closure is gone, and only coroutine parameters
+ * (copied into the frame) outlive it.
+ */
+exec::GuestTask
+spinOnLoad(exec::GuestCtx &ctx, Addr flag)
+{
+    for (;;)
+        co_await ctx.load(flag, 8);
+}
+
 } // namespace
 
 TEST(RunExitExec, AllHalted)
@@ -208,9 +221,9 @@ TEST(RunExitExec, WatchdogCatchesLoadSpin)
     cfg.fault.watchdogCycles = 20'000;
     World w(cfg);
     const Addr flag = igAddr(kIgDefault, w.engine.heap().alloc(64, 64));
-    w.engine.spawn(2, [&](exec::GuestCtx &ctx) -> exec::GuestTask {
-        for (;;)
-            co_await ctx.load(flag, 8); // same address, same value
+    // Same address, same value: no forward progress.
+    w.engine.spawn(2, [flag](exec::GuestCtx &ctx) {
+        return spinOnLoad(ctx, flag);
     });
     const RunExit exit = w.engine.run(10'000'000);
     ASSERT_EQ(exit, RunExit::Watchdog);
@@ -241,9 +254,8 @@ TEST(RunExitExec, SignalStopsRun)
     clearRunStop();
     World w;
     const Addr flag = igAddr(kIgDefault, w.engine.heap().alloc(64, 64));
-    w.engine.spawn(1, [&](exec::GuestCtx &ctx) -> exec::GuestTask {
-        for (;;)
-            co_await ctx.load(flag, 8);
+    w.engine.spawn(1, [flag](exec::GuestCtx &ctx) {
+        return spinOnLoad(ctx, flag);
     });
     requestRunStop(SIGTERM);
     const RunExit exit = w.engine.run(10'000'000);

@@ -266,6 +266,7 @@ TEST(Observability, ParseTraceCats)
               kTraceAll);
     EXPECT_EQ(parseTraceCats("host"), traceBit(TraceCat::Host));
     EXPECT_EQ(parseTraceCats("net"), traceBit(TraceCat::Net));
+    EXPECT_FALSE(parseTraceCats("mem,bogus").has_value());
 }
 
 // The TSan preset runs every Observability test: this one drives the

@@ -13,106 +13,52 @@
  *   cyclops-fuzz --mutate add-off-by-one       harness self-test: must
  *                                              report a divergence
  *
- * Observability passthrough (DESIGN.md section 10): --stats-json,
- * --stats-csv, --stats-interval, --trace-out, --trace-cats,
- * --trace-capacity and --host-obs apply to the timing-side chips. Put
- * "%t" in output paths — it expands to "i<iteration>" so iterations
- * do not overwrite each other's files.
+ * The observability options (DESIGN.md section 10) apply to the
+ * timing-side chips. Put "%t" in output paths — it expands to
+ * "i<iteration>" so iterations do not overwrite each other's files.
  *
- * Exit status: 0 on a clean campaign, 1 if any program diverged.
+ * Exit status: 0 on a clean campaign, 1 if any program diverged, 2 on
+ * a usage error.
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "common/log.h"
-#include "common/trace.h"
+#include "common/options.h"
 #include "verify/fuzz.h"
 
 using namespace cyclops;
-
-namespace
-{
-
-void
-usage(const char *argv0)
-{
-    std::fprintf(stderr,
-                 "usage: %s [--seed N] [--iters N] [--threads N] "
-                 "[--no-shrink] [--verbose]\n"
-                 "       [--mutate add-off-by-one|sltu-flipped|"
-                 "lb-zero-extends]\n"
-                 "       [--stats-json P] [--stats-csv P] "
-                 "[--stats-interval N]\n"
-                 "       [--trace-out P] [--trace-cats LIST] "
-                 "[--trace-capacity N]\n"
-                 "       [--host-obs]   (paths may contain %%t -> "
-                 "\"i<iter>\")\n",
-                 argv0);
-    std::exit(2);
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
     verify::FuzzOptions opts;
 
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-            opts.seed = std::strtoull(argv[++i], nullptr, 0);
-        } else if (std::strcmp(argv[i], "--iters") == 0 && i + 1 < argc) {
-            opts.iters = u32(std::atoi(argv[++i]));
-        } else if (std::strcmp(argv[i], "--threads") == 0 &&
-                   i + 1 < argc) {
-            opts.maxThreads = u32(std::atoi(argv[++i]));
-        } else if (std::strcmp(argv[i], "--no-shrink") == 0) {
-            opts.shrinkOnFail = false;
-        } else if (std::strcmp(argv[i], "--shrink") == 0) {
-            opts.shrinkOnFail = true;
-        } else if (std::strcmp(argv[i], "--verbose") == 0) {
-            opts.verbose = true;
-        } else if (std::strcmp(argv[i], "--stats-json") == 0 &&
-                   i + 1 < argc) {
-            opts.obs.statsJson = argv[++i];
-        } else if (std::strcmp(argv[i], "--stats-csv") == 0 &&
-                   i + 1 < argc) {
-            opts.obs.statsCsv = argv[++i];
-        } else if (std::strcmp(argv[i], "--stats-interval") == 0 &&
-                   i + 1 < argc) {
-            opts.obs.statsInterval = u32(std::atoi(argv[++i]));
-        } else if (std::strcmp(argv[i], "--trace-out") == 0 &&
-                   i + 1 < argc) {
-            opts.obs.traceOut = argv[++i];
-        } else if (std::strcmp(argv[i], "--trace-cats") == 0 &&
-                   i + 1 < argc) {
-            opts.obs.traceCats = parseTraceCats(argv[++i]);
-        } else if (std::strcmp(argv[i], "--trace-capacity") == 0 &&
-                   i + 1 < argc) {
-            opts.obs.traceCapacity = u32(std::atoi(argv[++i]));
-        } else if (std::strcmp(argv[i], "--host-obs") == 0) {
-            opts.obs.hostObs = true;
-        } else if (std::strcmp(argv[i], "--mutate") == 0 && i + 1 < argc) {
-            const std::string name = argv[++i];
-            if (name == "add-off-by-one")
-                opts.mutation = verify::Mutation::AddOffByOne;
-            else if (name == "sltu-flipped")
-                opts.mutation = verify::Mutation::SltuFlipped;
-            else if (name == "lb-zero-extends")
-                opts.mutation = verify::Mutation::LbZeroExtends;
-            else
-                usage(argv[0]);
-        } else {
-            usage(argv[0]);
-        }
-    }
-    if (opts.maxThreads == 0 || opts.maxThreads > 8)
-        fatal("--threads must be 1..8");
-    // Tracing to a file without an explicit category list records all.
-    if (!opts.obs.traceOut.empty() && opts.obs.traceCats == 0)
-        opts.obs.traceCats = kTraceAll;
+    OptionTable table(argv[0], "", "(paths may contain %t -> \"i<iter>\")");
+    table.add(numOpt("--seed", "N", "campaign seed", opts.seed))
+        .add(numOpt("--iters", "N", "programs to diff", opts.iters))
+        .add(numOpt("--threads", "N", "thread counts cycle 1..N",
+                    opts.maxThreads, 1, 8))
+        .add(switchOpt("--no-shrink", "report the raw failure",
+                       opts.shrinkOnFail, false))
+        .add(switchOpt("--verbose", "per-iteration progress", opts.verbose))
+        .add({"--mutate", "add-off-by-one|sltu-flipped|lb-zero-extends",
+              "plant a golden-model bug (harness self-test)",
+              [&opts](const char *text) {
+                  const std::string name = text;
+                  if (name == "add-off-by-one")
+                      opts.mutation = verify::Mutation::AddOffByOne;
+                  else if (name == "sltu-flipped")
+                      opts.mutation = verify::Mutation::SltuFlipped;
+                  else if (name == "lb-zero-extends")
+                      opts.mutation = verify::Mutation::LbZeroExtends;
+                  else
+                      return strprintf("unknown mutation '%s'", text);
+                  return std::string();
+              }});
+    addObsOptions(table, opts.obs, false);
+    table.parseOrExit(argc, argv);
 
     const verify::FuzzResult res = verify::fuzzLoop(opts);
 

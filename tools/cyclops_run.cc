@@ -9,64 +9,12 @@
  *   cyclops-run --stats prog.s         dump every statistic at exit
  *   cyclops-run --disasm prog.s        print the assembled code, don't run
  *
- * Multi-chip systems (DESIGN.md section 16):
- *   --chips X,Y,Z      run an X x Y x Z torus of chips on the
- *                      cycle-driven fabric; the program is SPMD (the
- *                      same image boots on every chip, -t threads
- *                      each; SPRs 6/7 = chip id / chip count)
- *   --mesh             mesh links instead of torus wraparound
- *
- * Degraded chips and robustness (DESIGN.md section 13):
- *   --disable-tu N     fuse off one thread unit       (repeatable)
- *   --disable-quad N   fuse off a quad: TUs+FPU+cache (repeatable)
- *   --disable-fpu N    fuse off one quad's FPU        (repeatable)
- *   --disable-dcache N fuse off one data cache        (repeatable)
- *   --disable-icache N fuse off one I-cache           (repeatable)
- *   --disable-bank N   fail one memory bank           (repeatable)
- *   --cache-ways N     live ways per D-cache set (0 = all)
- *   --watchdog N       deadlock watchdog window in cycles (0 = off)
- *   --timeout-seconds N  wall-clock limit (graceful stop via SIGALRM)
- *
- * Fabric link faults (DESIGN.md section 18; need --chips; chips are
- * ids in the X,Y,Z grid, x fastest):
- *   --disable-link A->B    kill the directed link chip A -> chip B;
- *                          routing detours around it (repeatable)
- *   --link-flaky A->B=PPM  corrupt packets on the link with
- *                          probability PPM/1e6; the end-to-end
- *                          checksum catches and retransmits
- *   --link-derate A->B=N   divide the link bandwidth by N
- *   --fabric-fault-seed N  corruption-draw stream selector (the run
- *                          is byte-reproducible for a given seed)
- *   --fabric-fault-at N    apply the fault map mid-run at cycle N
- *                          (default 0: degraded from the first cycle)
- *
- * Observability (DESIGN.md section 10):
- *   --stats-json out.json    end-of-run counters/histograms as JSON
- *   --stats-csv out.csv      epoch-sampled counter time-series as CSV
- *   --stats-interval N       sample period in cycles (enables the series)
- *   --trace-out trace.json   Chrome-trace events (load in Perfetto);
- *                            with --chips, the fabric appears as its
- *                            own process with per-link tracks
- *   --trace-cats LIST        mem,cache,barrier,kernel,sched,host,net
- *                            or "all"
- *   --trace-capacity N       tracer ring size in events
- *   --fabric-stats out.json  fabric stats JSON (needs --chips; schema
- *                            cyclops-fabric-v1, per-link counters,
- *                            latency histograms, chip-pair matrix —
- *                            validated by tools/check_fabric.py)
- *   --fabric-heatmap out.csv link/pair congestion heatmap CSV (needs
- *                            --chips; DESIGN.md section 17)
- *   --prof-out base          PC-sampling profile: base (JSON report),
- *                            base.folded (flamegraph folded stacks),
- *                            base.heatmap.csv (bank heatmap)
- *   --prof-interval N        sample period in cycles (default 512
- *                            when --prof-out is given)
- *   --host-obs               host-side simulator telemetry: hostObs
- *                            section in --stats-json, host process in
- *                            --trace-out (DESIGN.md section 15)
- *   --manifest out.json      per-run manifest (config hash, git
- *                            describe, headline counters) for
- *                            tools/check_regress.py
+ * The option table in main() lists every flag; run without a program
+ * to print it. --chips runs an SPMD program (same image, -t threads
+ * per chip, SPRs 6/7 = chip id / count) on the fabric of DESIGN.md
+ * section 16; its link faults (section 18) name chips by id in the
+ * X,Y,Z grid, x fastest. Degraded chips: section 13; observability:
+ * sections 10, 15 and 17.
  *
  * Threads start at the `start` label (or address 0) with the kernel's
  * register conventions: r1 = stack pointer, r4 = software thread
@@ -81,7 +29,6 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -95,7 +42,7 @@
 #include "common/config.h"
 #include "common/hostobs.h"
 #include "common/log.h"
-#include "common/trace.h"
+#include "common/options.h"
 #include "isa/assembler.h"
 #include "isa/disassembler.h"
 #include "kernel/kernel.h"
@@ -105,106 +52,131 @@ using namespace cyclops;
 namespace
 {
 
-void
-usage(const char *argv0)
+/** The parsed command line. */
+struct Args
 {
-    std::fprintf(stderr,
-                 "usage: %s [-t N] [--balanced] [--stats] [--disasm] "
-                 "[--max-cycles N]\n"
-                 "       [--disable-tu N] [--disable-quad N] "
-                 "[--disable-fpu N]\n"
-                 "       [--disable-dcache N] [--disable-icache N] "
-                 "[--disable-bank N]\n"
-                 "       [--cache-ways N] [--watchdog N] "
-                 "[--timeout-seconds N]\n"
-                 "       [--stats-json P] [--stats-csv P] "
-                 "[--stats-interval N]\n"
-                 "       [--trace-out P] [--trace-cats LIST] "
-                 "[--trace-capacity N]\n"
-                 "       [--prof-out P] [--prof-interval N]\n"
-                 "       [--fabric-stats P] [--fabric-heatmap P]\n"
-                 "       [--host-obs] [--manifest P]\n"
-                 "       [--disable-link A->B] [--link-flaky A->B=PPM]\n"
-                 "       [--link-derate A->B=N] [--fabric-fault-seed N]\n"
-                 "       [--fabric-fault-at N]\n"
-                 "       [--chips X,Y,Z] [--mesh] prog.s\n",
-                 argv0);
-}
+    u32 threads = 1;
+    bool balanced = false;
+    bool dumpStats = false;
+    bool disasmOnly = false;
+    u64 maxCycles = 1'000'000'000ull;
+    u32 timeoutSeconds = 0;
+    std::string manifestPath;
+    bool multiChip = false;  ///< --chips given
+    arch::SystemConfig sys;  ///< sys.chip also configures a lone chip
+    std::string path;
+    u64 startNs = hostNowNs();
+};
 
 /**
- * Report a malformed command line and exit 2. CLI mistakes are user
- * errors with structured messages, never fatal()/abort paths.
+ * A repeatable fabric link fault: "A->B" kills the link, "A->B=V" makes
+ * it flaky (V = corruption ppm) or derated (V = bandwidth divisor).
  */
-[[noreturn]] void
-argError(const char *argv0, const std::string &why)
+Option
+linkFaultOpt(const char *flag, const char *metavar, const char *help,
+             net::LinkFaultKind kind, net::FabricFaultMap &map)
 {
-    std::fprintf(stderr, "%s: %s\n", argv0, why.c_str());
-    usage(argv0);
-    std::exit(2);
-}
-
-/** Parse a whole-string nonnegative integer; false on malformed input. */
-bool
-parseU64(const char *text, u64 *out)
-{
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(text, &end, 0);
-    if (end == text || *end != '\0' ||
-        std::strchr(text, '-') != nullptr)
-        return false;
-    *out = v;
-    return true;
-}
-
-/** Parse a directed link "A->B"; false if malformed. */
-bool
-parseLink(const char *text, u32 *src, u32 *dst)
-{
-    unsigned a = 0, b = 0;
-    char tail = 0;
-    if (std::sscanf(text, "%u->%u%c", &a, &b, &tail) != 2)
-        return false;
-    *src = u32(a);
-    *dst = u32(b);
-    return true;
-}
-
-/** Parse a valued directed link "A->B=N"; false if malformed. */
-bool
-parseLinkValue(const char *text, u32 *src, u32 *dst, u32 *value)
-{
-    unsigned a = 0, b = 0, v = 0;
-    char tail = 0;
-    if (std::sscanf(text, "%u->%u=%u%c", &a, &b, &v, &tail) != 3)
-        return false;
-    *src = u32(a);
-    *dst = u32(b);
-    *value = u32(v);
-    return true;
-}
-
-/** Parse "X,Y,Z" (or "XxYxZ") system dimensions; false if malformed. */
-bool
-parseDims(const char *text, u32 dims[3])
-{
-    unsigned x = 0, y = 0, z = 0;
-    char sep1 = 0, sep2 = 0, tail = 0;
-    const int n = std::sscanf(text, "%u%c%u%c%u%c", &x, &sep1, &y,
-                              &sep2, &z, &tail);
-    if (n != 5 || (sep1 != ',' && sep1 != 'x') || sep2 != sep1)
-        return false;
-    if (x == 0 || y == 0 || z == 0)
-        return false;
-    dims[0] = u32(x);
-    dims[1] = u32(y);
-    dims[2] = u32(z);
-    return true;
+    return {flag, metavar, help, [=, &map](const char *text) {
+                net::LinkFault lf;
+                lf.kind = kind;
+                unsigned a = 0, b = 0, v = 0;
+                char tail = 0;
+                const bool dead = kind == net::LinkFaultKind::Dead;
+                const int n =
+                    dead ? std::sscanf(text, "%u->%u%c", &a, &b, &tail)
+                         : std::sscanf(text, "%u->%u=%u%c", &a, &b, &v,
+                                       &tail);
+                if (n != (dead ? 2 : 3))
+                    return strprintf("'%s' is not %s", text, metavar);
+                lf.src = u32(a);
+                lf.dst = u32(b);
+                if (kind == net::LinkFaultKind::Flaky)
+                    lf.flakyPpm = u32(v);
+                else if (kind == net::LinkFaultKind::Derated)
+                    lf.derate = u32(v);
+                map.links.push_back(lf);
+                return std::string();
+            }};
 }
 
 void
 stopHandler(int sig)
 {
     arch::requestRunStop(sig);
+}
+
+/** Load @p prog on @p chip and spawn the -t threads; the kernel. */
+std::unique_ptr<kernel::Kernel>
+boot(arch::Chip &chip, const Args &args, const OptionTable &table,
+     const isa::Program &prog)
+{
+    auto kern = std::make_unique<kernel::Kernel>(
+        chip, args.balanced ? kernel::AllocPolicy::Balanced
+                            : kernel::AllocPolicy::Sequential);
+    kern->load(prog);
+    if (args.threads > kern->usableThreads())
+        table.fail(strprintf("-t %u exceeds the %u usable threads",
+                             args.threads, kern->usableThreads()));
+    kern->spawn(args.threads, prog.entry);
+    return kern;
+}
+
+/** Report a guest fault or crash; exit status 1. */
+int
+guestError(const GuestError &err, Cycle now)
+{
+    std::fprintf(stderr, "\n[guest %s at cycle %llu: %s]\n",
+                 err.kind() == GuestError::Kind::Check ? "fault" : "crash",
+                 static_cast<unsigned long long>(now), err.what());
+    return 1;
+}
+
+/**
+ * Write the manifest if one was asked for and report how the run
+ * ended: the exit status, 0 if every thread halted.
+ */
+int
+finish(const Args &args, const arch::RunExit &exit, Cycle now,
+       u64 instructions)
+{
+    if (!args.manifestPath.empty()) {
+        RunManifest m;
+        m.tool = "cyclops-run";
+        m.workload = args.path;
+        m.config = &args.sys.chip;
+        m.simCycles = now;
+        m.instructions = instructions;
+        m.wallSeconds = double(hostNowNs() - args.startNs) / 1e9;
+        m.exitReason = arch::runExitName(exit.reason);
+        writeRunManifest(args.sys.chip.obs.expandPath(args.manifestPath),
+                         m);
+    }
+
+    switch (exit.reason) {
+      case arch::RunExitReason::CycleLimit:
+        std::fprintf(stderr, "\n[cycle limit %llu reached]\n",
+                     static_cast<unsigned long long>(args.maxCycles));
+        return 3;
+      case arch::RunExitReason::Watchdog:
+        std::fprintf(stderr, "\n[deadlock watchdog]\n%s",
+                     exit.diagnostic.c_str());
+        return 4;
+      case arch::RunExitReason::Signal:
+        std::fprintf(stderr,
+                     "\n[stopped by %s at cycle %llu; state flushed]\n",
+                     exit.signal == SIGALRM
+                         ? "wall-clock timeout"
+                         : exit.signal == SIGINT ? "SIGINT" : "SIGTERM",
+                     static_cast<unsigned long long>(exit.at));
+        return 128 + exit.signal;
+      case arch::RunExitReason::FabricFailure: // multi-chip runs only
+        std::fprintf(stderr, "\n[fabric failure]\n%s\n",
+                     exit.diagnostic.c_str());
+        return 5;
+      case arch::RunExitReason::AllHalted:
+        break;
+    }
+    return 0;
 }
 
 /**
@@ -215,25 +187,13 @@ stopHandler(int sig)
  * fabric traffic counters.
  */
 int
-runSystem(const char *argv0, const isa::Program &prog, const char *path,
-          const arch::SystemConfig &sysCfg, u32 threads, bool balanced,
-          bool dumpStats, u64 maxCycles, const std::string &manifestPath,
-          u64 startNs)
+runSystem(const Args &args, const OptionTable &table,
+          const isa::Program &prog)
 {
-    arch::System sys(sysCfg);
+    arch::System sys(args.sys);
     std::vector<std::unique_ptr<kernel::Kernel>> kernels;
-    for (u32 c = 0; c < sys.numChips(); ++c) {
-        auto kern = std::make_unique<kernel::Kernel>(
-            sys.chip(c), balanced ? kernel::AllocPolicy::Balanced
-                                  : kernel::AllocPolicy::Sequential);
-        kern->load(prog);
-        if (threads > kern->usableThreads())
-            argError(argv0,
-                     strprintf("-t %u exceeds the %u usable threads",
-                               threads, kern->usableThreads()));
-        kern->spawn(threads, prog.entry);
-        kernels.push_back(std::move(kern));
-    }
+    for (u32 c = 0; c < sys.numChips(); ++c)
+        kernels.push_back(boot(sys.chip(c), args, table, prog));
 
     const auto flushConsoles = [&sys] {
         for (u32 c = 0; c < sys.numChips(); ++c) {
@@ -247,55 +207,16 @@ runSystem(const char *argv0, const isa::Program &prog, const char *path,
 
     arch::RunExit exit;
     try {
-        exit = sys.run(maxCycles);
+        exit = sys.run(args.maxCycles);
     } catch (const GuestError &err) {
         flushConsoles();
-        std::fprintf(stderr, "\n[guest %s at cycle %llu: %s]\n",
-                     err.kind() == GuestError::Kind::Check ? "fault"
-                                                           : "crash",
-                     static_cast<unsigned long long>(sys.now()),
-                     err.what());
-        return 1;
+        return guestError(err, sys.now());
     }
     sys.writeObservability();
     flushConsoles();
-
-    if (!manifestPath.empty()) {
-        RunManifest m;
-        m.tool = "cyclops-run";
-        m.workload = path;
-        m.config = &sysCfg.chip;
-        m.simCycles = sys.now();
-        m.instructions = sys.totalInstructions();
-        m.wallSeconds = double(hostNowNs() - startNs) / 1e9;
-        m.exitReason = arch::runExitName(exit.reason);
-        writeRunManifest(sysCfg.chip.obs.expandPath(manifestPath), m);
-    }
-
-    switch (exit.reason) {
-      case arch::RunExitReason::CycleLimit:
-        std::fprintf(stderr, "\n[cycle limit %llu reached]\n",
-                     static_cast<unsigned long long>(maxCycles));
-        return 3;
-      case arch::RunExitReason::Watchdog:
-        std::fprintf(stderr, "\n[deadlock watchdog]\n%s",
-                     exit.diagnostic.c_str());
-        return 4;
-      case arch::RunExitReason::Signal:
-        std::fprintf(stderr,
-                     "\n[stopped by %s at cycle %llu; state flushed]\n",
-                     exit.signal == SIGALRM
-                         ? "wall-clock timeout"
-                         : exit.signal == SIGINT ? "SIGINT" : "SIGTERM",
-                     static_cast<unsigned long long>(exit.at));
-        return 128 + exit.signal;
-      case arch::RunExitReason::FabricFailure:
-        std::fprintf(stderr, "\n[fabric failure]\n%s\n",
-                     exit.diagnostic.c_str());
-        return 5;
-      case arch::RunExitReason::AllHalted:
-        break;
-    }
+    if (const int status =
+            finish(args, exit, sys.now(), sys.totalInstructions()))
+        return status;
 
     const net::Fabric &fabric = sys.fabric();
     std::fprintf(
@@ -304,7 +225,7 @@ runSystem(const char *argv0, const isa::Program &prog, const char *path,
         "fabric %llu messages, %llu bytes, %llu queue cycles]\n",
         static_cast<unsigned long long>(sys.now()),
         static_cast<unsigned long long>(sys.totalInstructions()),
-        sys.numChips(), threads,
+        sys.numChips(), args.threads,
         static_cast<unsigned long long>(fabric.messages()),
         static_cast<unsigned long long>(fabric.bytesMoved()),
         static_cast<unsigned long long>(fabric.queueCycles()));
@@ -317,11 +238,47 @@ runSystem(const char *argv0, const isa::Program &prog, const char *path,
             static_cast<unsigned long long>(fabric.retransmits()),
             static_cast<unsigned long long>(fabric.crcErrors()),
             static_cast<unsigned long long>(fabric.flitsDropped()));
-    if (dumpStats)
+    if (args.dumpStats)
         for (u32 c = 0; c < sys.numChips(); ++c) {
             std::fprintf(stderr, "--- chip %u ---\n", c);
             std::fputs(sys.chip(c).stats().dump().c_str(), stderr);
         }
+    return 0;
+}
+
+/** Single-chip run. */
+int
+runChip(const Args &args, const OptionTable &table,
+        const isa::Program &prog)
+{
+    arch::Chip chip(args.sys.chip);
+    const auto kern = boot(chip, args, table, prog);
+
+    arch::RunExit exit;
+    try {
+        exit = kern->run(args.maxCycles);
+    } catch (const GuestError &err) {
+        std::fputs(chip.console().c_str(), stdout);
+        return guestError(err, chip.now());
+    }
+    chip.writeObservability();
+    std::fputs(chip.console().c_str(), stdout);
+    if (const int status =
+            finish(args, exit, chip.now(), chip.totalInstructions()))
+        return status;
+
+    std::fprintf(stderr,
+                 "\n[%llu cycles, %llu instructions, %u threads; "
+                 "run %llu / stall %llu]\n",
+                 static_cast<unsigned long long>(chip.now()),
+                 static_cast<unsigned long long>(
+                     chip.totalInstructions()),
+                 args.threads,
+                 static_cast<unsigned long long>(chip.totalRunCycles()),
+                 static_cast<unsigned long long>(
+                     chip.totalStallCycles()));
+    if (args.dumpStats)
+        std::fputs(chip.stats().dump().c_str(), stderr);
     return 0;
 }
 
@@ -330,156 +287,73 @@ runSystem(const char *argv0, const isa::Program &prog, const char *path,
 int
 main(int argc, char **argv)
 {
-    u32 threads = 1;
-    bool balanced = false;
-    bool dumpStats = false;
-    bool disasmOnly = false;
-    u64 maxCycles = 1'000'000'000ull;
-    u64 timeoutSeconds = 0;
-    ObsConfig obs;
-    FaultConfig faultCfg;
-    std::string manifestPath;
-    u32 chipDims[3] = {0, 0, 0};
-    bool mesh = false;
-    net::FabricFaultMap faultMap;
-    const char *path = nullptr;
-    const u64 startNs = hostNowNs();
+    Args args;
+    OptionTable table(argv[0], "prog.s");
+    table
+        .add(numOpt("-t", "N", "software threads to spawn", args.threads,
+                    1))
+        .add(switchOpt("--balanced", "balanced thread allocation",
+                       args.balanced))
+        .add(switchOpt("--stats", "dump every statistic at exit",
+                       args.dumpStats))
+        .add(switchOpt("--disasm", "print the assembled code, don't run",
+                       args.disasmOnly))
+        .add(numOpt("--max-cycles", "N", "cycle limit (exit status 3)",
+                    args.maxCycles));
+    net::FabricFaultMap &links = args.sys.fabric.faults;
+    addFaultOptions(table, args.sys.chip.fault);
+    table.add(numOpt("--timeout-seconds", "N", "wall-clock limit",
+                     args.timeoutSeconds));
+    addObsOptions(table, args.sys.chip.obs, true);
+    table
+        .add(textOpt("--manifest", "P", "per-run manifest JSON",
+                     args.manifestPath))
+        .add(linkFaultOpt("--disable-link", "A->B",
+                          "kill the link chip A -> chip B (repeatable)",
+                          net::LinkFaultKind::Dead, links))
+        .add(linkFaultOpt("--link-flaky", "A->B=PPM",
+                          "corrupt its packets with probability PPM/1e6",
+                          net::LinkFaultKind::Flaky, links))
+        .add(linkFaultOpt("--link-derate", "A->B=N",
+                          "divide its bandwidth by N",
+                          net::LinkFaultKind::Derated, links))
+        .add(numOpt("--fabric-fault-seed", "N",
+                    "corruption-draw stream selector", links.seed))
+        .add(numOpt("--fabric-fault-at", "N",
+                    "apply the link faults at cycle N", links.atCycle))
+        .add({"--chips", "X,Y,Z", "run on an X x Y x Z torus of chips",
+              [&args](const char *text) {
+                  // "X,Y,Z" or "XxYxZ", all nonzero.
+                  unsigned d[3] = {0, 0, 0};
+                  char sep1 = 0, sep2 = 0, tail = 0;
+                  if (std::sscanf(text, "%u%c%u%c%u%c", &d[0], &sep1, &d[1],
+                                  &sep2, &d[2], &tail) != 5 ||
+                      (sep1 != ',' && sep1 != 'x') || sep2 != sep1 ||
+                      !d[0] || !d[1] || !d[2])
+                      return strprintf("'%s' is not X,Y,Z with nonzero "
+                                       "dimensions",
+                                       text);
+                  net::NetConfig &net = args.sys.fabric.net;
+                  net.dimX = d[0];
+                  net.dimY = d[1];
+                  net.dimZ = d[2];
+                  args.multiChip = true;
+                  return std::string();
+              }})
+        .add(switchOpt("--mesh", "mesh links instead of a torus",
+                       args.sys.fabric.net.torus, false));
+    args.path = table.parseOrExit(argc, argv);
+    const ObsConfig &obs = args.sys.chip.obs;
+    if (!args.multiChip &&
+        (!args.sys.fabric.net.torus || !links.empty() ||
+         !obs.fabricStats.empty() || !obs.fabricHeatmap.empty()))
+        table.fail("--mesh, the link faults and --fabric-stats/-heatmap "
+                   "need --chips X,Y,Z");
 
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        // Flags taking one numeric operand share checked parsing.
-        auto num = [&]() -> u64 {
-            if (i + 1 >= argc)
-                argError(argv[0],
-                         strprintf("%s needs a numeric argument", arg));
-            u64 v = 0;
-            if (!parseU64(argv[++i], &v))
-                argError(argv[0],
-                         strprintf("%s: '%s' is not a nonnegative "
-                                   "number", arg, argv[i]));
-            return v;
-        };
-        if (std::strcmp(arg, "-t") == 0) {
-            threads = u32(num());
-        } else if (std::strcmp(arg, "--balanced") == 0) {
-            balanced = true;
-        } else if (std::strcmp(arg, "--stats") == 0) {
-            dumpStats = true;
-        } else if (std::strcmp(arg, "--disasm") == 0) {
-            disasmOnly = true;
-        } else if (std::strcmp(arg, "--max-cycles") == 0) {
-            maxCycles = num();
-        } else if (std::strcmp(arg, "--disable-tu") == 0) {
-            faultCfg.disabledTus.push_back(u32(num()));
-        } else if (std::strcmp(arg, "--disable-quad") == 0) {
-            faultCfg.disabledQuads.push_back(u32(num()));
-        } else if (std::strcmp(arg, "--disable-fpu") == 0) {
-            faultCfg.disabledFpus.push_back(u32(num()));
-        } else if (std::strcmp(arg, "--disable-dcache") == 0) {
-            faultCfg.disabledDcaches.push_back(u32(num()));
-        } else if (std::strcmp(arg, "--disable-icache") == 0) {
-            faultCfg.disabledIcaches.push_back(u32(num()));
-        } else if (std::strcmp(arg, "--disable-bank") == 0) {
-            faultCfg.disabledBanks.push_back(u32(num()));
-        } else if (std::strcmp(arg, "--cache-ways") == 0) {
-            faultCfg.cacheWays = u32(num());
-        } else if (std::strcmp(arg, "--watchdog") == 0) {
-            faultCfg.watchdogCycles = num();
-        } else if (std::strcmp(arg, "--timeout-seconds") == 0) {
-            timeoutSeconds = num();
-        } else if (std::strcmp(arg, "--stats-json") == 0 &&
-                   i + 1 < argc) {
-            obs.statsJson = argv[++i];
-        } else if (std::strcmp(arg, "--stats-csv") == 0 && i + 1 < argc) {
-            obs.statsCsv = argv[++i];
-        } else if (std::strcmp(arg, "--stats-interval") == 0) {
-            obs.statsInterval = u32(num());
-        } else if (std::strcmp(arg, "--trace-out") == 0 && i + 1 < argc) {
-            obs.traceOut = argv[++i];
-        } else if (std::strcmp(arg, "--trace-cats") == 0 &&
-                   i + 1 < argc) {
-            obs.traceCats = parseTraceCats(argv[++i]);
-        } else if (std::strcmp(arg, "--trace-capacity") == 0) {
-            obs.traceCapacity = u32(num());
-        } else if (std::strcmp(arg, "--prof-out") == 0 && i + 1 < argc) {
-            obs.profOut = argv[++i];
-        } else if (std::strcmp(arg, "--prof-interval") == 0) {
-            obs.profInterval = u32(num());
-        } else if (std::strcmp(arg, "--fabric-stats") == 0 &&
-                   i + 1 < argc) {
-            obs.fabricStats = argv[++i];
-        } else if (std::strcmp(arg, "--fabric-heatmap") == 0 &&
-                   i + 1 < argc) {
-            obs.fabricHeatmap = argv[++i];
-        } else if (std::strcmp(arg, "--host-obs") == 0) {
-            obs.hostObs = true;
-        } else if (std::strcmp(arg, "--manifest") == 0 && i + 1 < argc) {
-            manifestPath = argv[++i];
-        } else if (std::strcmp(arg, "--disable-link") == 0 &&
-                   i + 1 < argc) {
-            net::LinkFault lf;
-            if (!parseLink(argv[++i], &lf.src, &lf.dst))
-                argError(argv[0],
-                         strprintf("--disable-link: '%s' is not "
-                                   "SRC->DST", argv[i]));
-            faultMap.links.push_back(lf);
-        } else if (std::strcmp(arg, "--link-flaky") == 0 &&
-                   i + 1 < argc) {
-            net::LinkFault lf;
-            lf.kind = net::LinkFaultKind::Flaky;
-            if (!parseLinkValue(argv[++i], &lf.src, &lf.dst,
-                                &lf.flakyPpm))
-                argError(argv[0],
-                         strprintf("--link-flaky: '%s' is not "
-                                   "SRC->DST=PPM", argv[i]));
-            faultMap.links.push_back(lf);
-        } else if (std::strcmp(arg, "--link-derate") == 0 &&
-                   i + 1 < argc) {
-            net::LinkFault lf;
-            lf.kind = net::LinkFaultKind::Derated;
-            if (!parseLinkValue(argv[++i], &lf.src, &lf.dst,
-                                &lf.derate))
-                argError(argv[0],
-                         strprintf("--link-derate: '%s' is not "
-                                   "SRC->DST=N", argv[i]));
-            faultMap.links.push_back(lf);
-        } else if (std::strcmp(arg, "--fabric-fault-seed") == 0) {
-            faultMap.seed = num();
-        } else if (std::strcmp(arg, "--fabric-fault-at") == 0) {
-            faultMap.atCycle = num();
-        } else if (std::strcmp(arg, "--chips") == 0 && i + 1 < argc) {
-            if (!parseDims(argv[++i], chipDims))
-                argError(argv[0],
-                         strprintf("--chips: '%s' is not X,Y,Z with "
-                                   "nonzero dimensions", argv[i]));
-        } else if (std::strcmp(arg, "--mesh") == 0) {
-            mesh = true;
-        } else if (arg[0] == '-') {
-            argError(argv[0], strprintf("unknown argument '%s'", arg));
-        } else if (path) {
-            argError(argv[0], "more than one program file");
-        } else {
-            path = arg;
-        }
-    }
-    if (!path)
-        argError(argv[0], "no program file");
-    if (threads == 0)
-        argError(argv[0], "-t must be nonzero");
-    if (mesh && chipDims[0] == 0)
-        argError(argv[0], "--mesh needs --chips X,Y,Z");
-    if (chipDims[0] == 0 &&
-        (!obs.fabricStats.empty() || !obs.fabricHeatmap.empty()))
-        argError(argv[0],
-                 "--fabric-stats/--fabric-heatmap need --chips X,Y,Z");
-    if (chipDims[0] == 0 && !faultMap.empty())
-        argError(argv[0],
-                 "--disable-link/--link-flaky/--link-derate need "
-                 "--chips X,Y,Z");
-
-    std::ifstream in(path);
+    std::ifstream in(args.path);
     if (!in) {
-        std::fprintf(stderr, "%s: cannot open %s\n", argv[0], path);
+        std::fprintf(stderr, "%s: cannot open %s\n", argv[0],
+                     args.path.c_str());
         return 1;
     }
     std::stringstream buffer;
@@ -487,13 +361,13 @@ main(int argc, char **argv)
 
     isa::AsmResult result = isa::assemble(buffer.str());
     if (!result.ok) {
-        std::fprintf(stderr, "%s: %s: %s\n", argv[0], path,
+        std::fprintf(stderr, "%s: %s: %s\n", argv[0], args.path.c_str(),
                      result.error.c_str());
         return 1;
     }
     const isa::Program &prog = result.program;
 
-    if (disasmOnly) {
+    if (args.disasmOnly) {
         for (size_t i = 0; i < prog.text.size(); ++i) {
             const u32 addr = prog.textBase + u32(i) * 4;
             for (const auto &[name, value] : prog.symbols)
@@ -505,113 +379,23 @@ main(int argc, char **argv)
         return 0;
     }
 
-    // Tracing to a file without an explicit category list records all.
-    if (!obs.traceOut.empty() && obs.traceCats == 0)
-        obs.traceCats = kTraceAll;
-    // Profiling to a file without an explicit period samples densely.
-    if (!obs.profOut.empty() && obs.profInterval == 0)
-        obs.profInterval = 512;
-    ChipConfig chipCfg;
-    chipCfg.obs = obs;
-    chipCfg.fault = faultCfg;
     // A bad configuration (fault map out of range, no surviving cache,
     // ...) is a user error: report it structurally, don't abort.
-    if (const std::string err = chipCfg.check(); !err.empty())
-        argError(argv[0], err);
+    if (const std::string err = args.sys.chip.check(); !err.empty())
+        table.fail(err);
 
     // Stop gracefully on ^C / kill / wall-clock timeout: the run loop
     // returns at its next service point and all state gets flushed.
     std::signal(SIGINT, stopHandler);
     std::signal(SIGTERM, stopHandler);
-    if (timeoutSeconds != 0) {
+    if (args.timeoutSeconds != 0) {
         std::signal(SIGALRM, stopHandler);
-        alarm(u32(timeoutSeconds));
+        alarm(args.timeoutSeconds);
     }
 
-    if (chipDims[0] != 0) {
-        arch::SystemConfig sysCfg;
-        sysCfg.chip = chipCfg;
-        sysCfg.fabric.net.dimX = chipDims[0];
-        sysCfg.fabric.net.dimY = chipDims[1];
-        sysCfg.fabric.net.dimZ = chipDims[2];
-        sysCfg.fabric.net.torus = !mesh;
-        sysCfg.fabric.faults = faultMap;
-        if (const std::string err = sysCfg.check(); !err.empty())
-            argError(argv[0], err);
-        return runSystem(argv[0], prog, path, sysCfg, threads, balanced,
-                         dumpStats, maxCycles, manifestPath, startNs);
-    }
-
-    arch::Chip chip(chipCfg);
-    kernel::Kernel kern(chip, balanced ? kernel::AllocPolicy::Balanced
-                                       : kernel::AllocPolicy::Sequential);
-    kern.load(prog);
-    if (threads > kern.usableThreads())
-        argError(argv[0],
-                 strprintf("-t %u exceeds the %u usable threads",
-                           threads, kern.usableThreads()));
-    kern.spawn(threads, prog.entry);
-
-    arch::RunExit exit;
-    try {
-        exit = kern.run(maxCycles);
-    } catch (const GuestError &err) {
-        std::fputs(chip.console().c_str(), stdout);
-        std::fprintf(stderr, "\n[guest %s at cycle %llu: %s]\n",
-                     err.kind() == GuestError::Kind::Check ? "fault"
-                                                           : "crash",
-                     static_cast<unsigned long long>(chip.now()),
-                     err.what());
-        return 1;
-    }
-    chip.writeObservability();
-    std::fputs(chip.console().c_str(), stdout);
-
-    if (!manifestPath.empty()) {
-        RunManifest m;
-        m.tool = "cyclops-run";
-        m.workload = path;
-        m.config = &chipCfg;
-        m.simCycles = chip.now();
-        m.instructions = chip.totalInstructions();
-        m.wallSeconds = double(hostNowNs() - startNs) / 1e9;
-        m.exitReason = arch::runExitName(exit.reason);
-        writeRunManifest(obs.expandPath(manifestPath), m);
-    }
-
-    switch (exit.reason) {
-      case arch::RunExitReason::CycleLimit:
-        std::fprintf(stderr, "\n[cycle limit %llu reached]\n",
-                     static_cast<unsigned long long>(maxCycles));
-        return 3;
-      case arch::RunExitReason::Watchdog:
-        std::fprintf(stderr, "\n[deadlock watchdog]\n%s",
-                     exit.diagnostic.c_str());
-        return 4;
-      case arch::RunExitReason::Signal:
-        std::fprintf(stderr,
-                     "\n[stopped by %s at cycle %llu; state flushed]\n",
-                     exit.signal == SIGALRM
-                         ? "wall-clock timeout"
-                         : exit.signal == SIGINT ? "SIGINT" : "SIGTERM",
-                     static_cast<unsigned long long>(exit.at));
-        return 128 + exit.signal;
-      case arch::RunExitReason::FabricFailure: // no fabric on one chip
-      case arch::RunExitReason::AllHalted:
-        break;
-    }
-
-    std::fprintf(stderr,
-                 "\n[%llu cycles, %llu instructions, %u threads; "
-                 "run %llu / stall %llu]\n",
-                 static_cast<unsigned long long>(chip.now()),
-                 static_cast<unsigned long long>(
-                     chip.totalInstructions()),
-                 threads,
-                 static_cast<unsigned long long>(chip.totalRunCycles()),
-                 static_cast<unsigned long long>(
-                     chip.totalStallCycles()));
-    if (dumpStats)
-        std::fputs(chip.stats().dump().c_str(), stderr);
-    return 0;
+    if (!args.multiChip)
+        return runChip(args, table, prog);
+    if (const std::string err = args.sys.check(); !err.empty())
+        table.fail(err);
+    return runSystem(args, table, prog);
 }
