@@ -16,6 +16,21 @@ namespace
 // Signal number of a pending stop request, 0 for none. A plain atomic
 // store, so POSIX signal handlers may call requestRunStop() directly.
 std::atomic<int> gStopSignal{0};
+
+// Copy the @p bytes of one guest access. The access sizes the ISA has
+// (1, 2, 4, 8) get fixed-size copies, which compile to single moves
+// instead of a call to memcpy.
+void
+copyAccess(void *dst, const void *src, u8 bytes)
+{
+    switch (bytes) {
+      case 8: std::memcpy(dst, src, 8); break;
+      case 4: std::memcpy(dst, src, 4); break;
+      case 2: std::memcpy(dst, src, 2); break;
+      case 1: std::memcpy(dst, src, 1); break;
+      default: std::memcpy(dst, src, bytes); break;
+    }
+}
 } // namespace
 
 void
@@ -82,6 +97,7 @@ Chip::Chip(const ChipConfig &cfg) : cfg_(cfg)
     applyFaultMap();
 
     wheel_.assign(kWheelSize, {});
+    ready_.reserve(cfg_.numThreads);
     due_.reserve(cfg_.numThreads);
 
     stats_.addCounter("chip.cycles", &cycles_);
@@ -132,11 +148,11 @@ Chip::Chip(const ChipConfig &cfg) : cfg_(cfg)
 // --- Functional memory ------------------------------------------------------
 
 u8 *
-Chip::memPtr(Addr ea, u8 bytes, ThreadId tid)
+Chip::memPtr(const MemSystem::RouteEntry &ig, Addr ea, u8 bytes,
+             ThreadId tid)
 {
     // The functional path shares the timing path's precomputed decode
     // of the interest-group field (one LUT lookup, no re-decoding).
-    const MemSystem::RouteEntry &ig = memsys_.routeEntry(igField(ea));
     const PhysAddr pa = igPhys(ea);
     if (ig.cls == IgClass::Scratch) {
         const CacheId cache = ig.index & (cfg_.numCaches() - 1);
@@ -172,9 +188,10 @@ Chip::memRead(Addr ea, u8 bytes, ThreadId tid)
 {
     if (remote_ && isRemoteEa(ea)) [[unlikely]]
         return remote_->remoteRead(chipId_, tid, ea, bytes);
-    const u8 *ptr = memPtr(ea, bytes, tid);
+    const u8 *ptr =
+        memPtr(memsys_.routeEntry(igField(ea)), ea, bytes, tid);
     u64 value = 0;
-    std::memcpy(&value, ptr, bytes);
+    copyAccess(&value, ptr, bytes);
     return value;
 }
 
@@ -185,8 +202,35 @@ Chip::memWrite(Addr ea, u8 bytes, u64 value, ThreadId tid)
         remote_->remoteWrite(chipId_, tid, ea, bytes, value);
         return;
     }
-    u8 *ptr = memPtr(ea, bytes, tid);
-    std::memcpy(ptr, &value, bytes);
+    u8 *ptr = memPtr(memsys_.routeEntry(igField(ea)), ea, bytes, tid);
+    copyAccess(ptr, &value, bytes);
+}
+
+MemTiming
+Chip::memAccess(Cycle now, ThreadId tid, Addr ea, u8 bytes, MemKind kind,
+                u64 *data)
+{
+    if (bytes == 0 || bytes > 8 || !isPow2(bytes))
+        panic("memory access of %u bytes", bytes);
+    const bool store = kind == MemKind::Store;
+    if (remote_ && isRemoteEa(ea)) [[unlikely]] {
+        if (store)
+            remote_->remoteWrite(chipId_, tid, ea, bytes, *data);
+        else
+            *data = remote_->remoteRead(chipId_, tid, ea, bytes);
+        return remote_->remoteAccess(chipId_, tid, now, ea, bytes, kind);
+    }
+    // memPtr performs every guest check of the access (alignment,
+    // range, scratch window), so the timing half skips its copies.
+    const MemSystem::RouteEntry &ig = memsys_.routeEntry(igField(ea));
+    u8 *ptr = memPtr(ig, ea, bytes, tid);
+    if (store) {
+        copyAccess(ptr, data, bytes);
+    } else {
+        *data = 0;
+        copyAccess(data, ptr, bytes);
+    }
+    return memsys_.accessRouted(now, tid, ea, ig, bytes, kind);
 }
 
 void
@@ -224,23 +268,35 @@ Chip::loadProgram(const isa::Program &program)
 
     profiler_.setTextRange(program.textBase, program.textBytes());
 
-    decoded_.resize(program.text.size());
+    ops_.resize(program.text.size());
     for (size_t i = 0; i < program.text.size(); ++i) {
-        if (!isa::decode(program.text[i], &decoded_[i]))
+        DecodedOp &op = ops_[i];
+        if (!isa::decode(program.text[i], &op.instr))
             fatal("undecodable instruction word 0x%08x at 0x%06x",
                   program.text[i],
                   program.textBase + u32(i) * 4);
+        const isa::InstrMeta &m = isa::meta(op.instr.op);
+        op.meta = &m;
+        auto add = [&op](u8 reg, bool pair) {
+            op.hazardRegs[op.numHazardRegs++] = reg;
+            if (pair)
+                op.hazardRegs[op.numHazardRegs++] = u8(reg + 1);
+        };
+        if (m.readsRa)
+            add(op.instr.ra, m.fpPairRa);
+        if (m.readsRb)
+            add(op.instr.rb, m.fpPairRb);
+        if (m.readsRd || m.writesRd)
+            add(op.instr.rd, m.fpPairRd);
     }
 }
 
-const isa::Instr &
-Chip::decodedAt(PhysAddr pc) const
+void
+Chip::pcOutsideText(PhysAddr pc) const
 {
     const PhysAddr base = program_.textBase;
-    if (pc < base || pc >= base + program_.textBytes() || pc % 4 != 0)
-        guestCrash("PC 0x%06x outside program text [0x%06x, 0x%06x)", pc,
-                   base, base + program_.textBytes());
-    return decoded_[(pc - base) / 4];
+    guestCrash("PC 0x%06x outside program text [0x%06x, 0x%06x)", pc,
+               base, base + program_.textBytes());
 }
 
 // --- Units and the cycle engine -------------------------------------------------
@@ -278,6 +334,14 @@ Chip::schedule(ThreadId tid, Cycle when)
 {
     if (when <= now_)
         when = now_ + 1;
+    // A next-cycle wake joins the ready list unless it still holds the
+    // current cycle's wakes (after a CycleLimit return, until run()
+    // gathers them); then the wheel slot keeps the order instead.
+    if (when == now_ + 1 && (ready_.empty() || readyAt_ == when)) {
+        readyAt_ = when;
+        ready_.push_back(tid);
+        return;
+    }
     if (when - now_ < kWheelSize) {
         const u32 slot = u32(when) & (kWheelSize - 1);
         wheel_[slot].push_back(tid);
@@ -361,10 +425,11 @@ Chip::run(Cycle maxCycles)
         if (now_ >= limit)
             return {RunExitReason::CycleLimit, now_};
 
-        // Gather the units due this cycle. The due buffer and the slot
-        // vector both keep their capacity across cycles (a swap would
-        // strip the slot's buffer and force it to reallocate on every
-        // future schedule).
+        // Gather the units due this cycle: wheel slot, ready list, far
+        // heap. The slot vector keeps its capacity across cycles (a
+        // swap would strip the slot's buffer and force it to
+        // reallocate on every future schedule); the ready list and the
+        // due buffer trade theirs.
         due_.clear();
         const u32 slotIdx = u32(now_) & (kWheelSize - 1);
         auto &slot = wheel_[slotIdx];
@@ -374,6 +439,13 @@ Chip::run(Cycle maxCycles)
             wheelBits_[slotIdx >> 6] &= ~(1ull << (slotIdx & 63));
             inWheel_ -= u32(due_.size());
         }
+        if (!ready_.empty() && readyAt_ == now_) {
+            if (due_.empty())
+                due_.swap(ready_);
+            else
+                due_.insert(due_.end(), ready_.begin(), ready_.end());
+            ready_.clear();
+        }
         while (!far_.empty() && far_.top().first <= now_) {
             due_.push_back(far_.top().second);
             far_.pop();
@@ -382,6 +454,8 @@ Chip::run(Cycle maxCycles)
         if (due_.empty()) {
             // Fast-forward to the next scheduled wake-up.
             Cycle next = inWheel_ > 0 ? nextWheelEvent() : kCycleNever;
+            if (!ready_.empty())
+                next = std::min(next, readyAt_);
             if (!far_.empty())
                 next = std::min(next, far_.top().first);
             if (next == kCycleNever)
@@ -395,12 +469,19 @@ Chip::run(Cycle maxCycles)
         // Rotate service order every cycle: round-robin arbitration of
         // shared resources among same-cycle requesters.
         const size_t n = due_.size();
-        const size_t start = n > 1 ? size_t(now_ % n) : 0;
-        for (size_t i = 0; i < n; ++i) {
-            const ThreadId tid = due_[(start + i) % n];
+        size_t i = n > 1 ? size_t(now_ % n) : 0;
+        for (size_t served = 0; served < n; ++served, ++i) {
+            if (i == n)
+                i = 0;
+            const ThreadId tid = due_[i];
             Unit *u = units_[tid].get();
             const Cycle wake = u->tick(now_);
-            if (wake == kCycleNever) {
+            if (wake == now_ + 1) [[likely]] {
+                // schedule()'s ready-list case, inlined: while units
+                // tick, ready_ holds next-cycle wakes only.
+                readyAt_ = wake;
+                ready_.push_back(tid);
+            } else if (wake == kCycleNever) {
                 if (!u->halted())
                     panic("unit %u returned never but is not halted", tid);
                 --liveUnits_;

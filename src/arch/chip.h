@@ -13,6 +13,7 @@
 #define CYCLOPS_ARCH_CHIP_H
 
 #include <array>
+#include <bit>
 #include <memory>
 #include <queue>
 #include <string>
@@ -113,10 +114,11 @@ bool runStopRequested();
  * Hook a multi-chip System (arch/system.h) installs on every member
  * Chip to service remote-window accesses. The split mirrors the local
  * path exactly: the functional value moves through remoteRead/
- * remoteWrite (called from Chip::memRead/memWrite), and the timing
- * query that follows goes through remoteAccess (called from
- * Chip::dmem). A store is staged by remoteWrite and committed by the
- * matching remoteAccess, which injects it into the fabric.
+ * remoteWrite (called from Chip::memAccess, memRead and memWrite), and
+ * the timing query that follows goes through remoteAccess (called from
+ * Chip::memAccess and dmem). A store is staged by remoteWrite and
+ * committed by the matching remoteAccess, which injects it into the
+ * fabric.
  */
 class RemotePort
 {
@@ -134,6 +136,25 @@ class RemotePort
     /** Fabric timing of the access; commits a staged store. */
     virtual MemTiming remoteAccess(u32 srcChip, ThreadId tid, Cycle now,
                                    Addr ea, u8 bytes, MemKind kind) = 0;
+};
+
+/**
+ * One predecoded instruction of the resident program. loadProgram()
+ * builds one per text word, so the ISA issue path never re-decodes a
+ * word or looks up its metadata.
+ */
+struct DecodedOp
+{
+    isa::Instr instr;
+    const isa::InstrMeta *meta = nullptr;
+    /**
+     * Scoreboard registers the issue waits on, in priority order: ra,
+     * ra+1 (FP pair), rb, rb+1, rd, rd+1 — each only where the opcode
+     * reads (or, for rd, writes) it. Of several registers with the
+     * same latest ready cycle, the first listed is charged the stall.
+     */
+    u8 hazardRegs[6] = {};
+    u8 numHazardRegs = 0;
 };
 
 /** One Cyclops chip. */
@@ -227,8 +248,21 @@ class Chip
      */
     void loadProgram(const isa::Program &program);
 
-    /** Decoded instruction at @p pc; panics outside the text section. */
-    const isa::Instr &decodedAt(PhysAddr pc) const;
+    /**
+     * Predecoded instruction at @p pc. A PC outside the text section
+     * (or not word-aligned) crashes the guest.
+     */
+    const DecodedOp &
+    opAt(PhysAddr pc) const
+    {
+        // One unsigned compare covers both bounds and the alignment:
+        // rotating the byte offset right by two moves any low bits to
+        // the top, far past the op count.
+        const u32 index = std::rotr(u32(pc - program_.textBase), 2);
+        if (index >= ops_.size()) [[unlikely]]
+            pcOutsideText(pc);
+        return ops_[index];
+    }
 
     const isa::Program &program() const { return program_; }
 
@@ -263,6 +297,17 @@ class Chip
     {
         return icaches_[tid / (cfg_.threadsPerQuad * cfg_.quadsPerICache)];
     }
+
+    /**
+     * One load, prefetch or store by thread @p tid: the functional read
+     * into @p *data (Load, Prefetch) or write of it (Store), then the
+     * timing access, both from a single route of @p ea. Guest checks
+     * run once, in the functional half; remote-window addresses go to
+     * the multi-chip fabric (remoteRead/remoteWrite, then
+     * remoteAccess). Atomics use memRead/memWrite and dmem().
+     */
+    MemTiming memAccess(Cycle now, ThreadId tid, Addr ea, u8 bytes,
+                        MemKind kind, u64 *data);
 
     /**
      * One data-memory timing access: remote-window addresses go to the
@@ -347,7 +392,9 @@ class Chip
 
     void schedule(ThreadId tid, Cycle when);
     Cycle nextWheelEvent() const;
-    u8 *memPtr(Addr ea, u8 bytes, ThreadId tid);
+    u8 *memPtr(const MemSystem::RouteEntry &ig, Addr ea, u8 bytes,
+               ThreadId tid);
+    [[noreturn]] void pcOutsideText(PhysAddr pc) const;
 
     void samplePcs();
     void applyFaultMap();
@@ -375,7 +422,7 @@ class Chip
     OffChipMemory offchip_;
 
     isa::Program program_;
-    std::vector<isa::Instr> decoded_;
+    std::vector<DecodedOp> ops_; ///< one per text word
     bool programLoaded_ = false;
 
     std::vector<std::unique_ptr<Unit>> units_;
@@ -395,9 +442,14 @@ class Chip
     u64 lastProgressSum_ = 0;
     Cycle lastProgressCycle_ = 0;
 
-    // Cycle engine: timing wheel + far-future heap. A one-bit-per-slot
-    // occupancy bitmap makes the idle fast-forward a countr_zero scan
-    // over 16 words instead of a linear walk of up to 1024 slots.
+    // Cycle engine: now+1 ready list, timing wheel and far-future heap.
+    // Most wakes are for the next cycle; they bypass the wheel in
+    // ready_, which holds wakes for cycle readyAt_ only. A cycle's due
+    // units are gathered wheel slot first (its entries were scheduled
+    // in earlier cycles), then ready_, then the far heap — the order a
+    // single wheel would give. A one-bit-per-slot occupancy bitmap
+    // makes the idle fast-forward a countr_zero scan over 16 words
+    // instead of a linear walk of up to 1024 slots.
     Cycle now_ = 0;
     u32 liveUnits_ = 0;
     std::vector<std::vector<ThreadId>> wheel_;
@@ -407,6 +459,8 @@ class Chip
                         std::greater<FarEntry>>
         far_;
     u32 inWheel_ = 0;
+    std::vector<ThreadId> ready_; ///< wakes for cycle readyAt_
+    Cycle readyAt_ = 0;
     std::vector<ThreadId> due_; ///< reusable due-this-cycle buffer
 
     std::string console_;

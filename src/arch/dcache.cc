@@ -14,7 +14,10 @@ DCache::init(CacheId id, const ChipConfig &cfg, StatGroup *stats)
 {
     id_ = id;
     cfg_ = &cfg;
-    numSets_ = cfg.dcacheSets();
+    lineShift_ = log2i(cfg.dcacheLineBytes);
+    setShift_ = log2i(cfg.dcacheSets());
+    setMask_ = cfg.dcacheSets() - 1;
+    assocShift_ = log2i(cfg.dcacheAssoc);
     waysBegin_ = cfg.dcacheScratchWays;
     // Reduced-way degradation: fault.cacheWays live ways per set (the
     // remaining ways' SRAM is fused off). Geometry (set indexing) is
@@ -27,7 +30,8 @@ DCache::init(CacheId id, const ChipConfig &cfg, StatGroup *stats)
     fullMask_ = cfg.dcacheLineBytes >= 64
                     ? ~u64(0)
                     : (u64(1) << cfg.dcacheLineBytes) - 1;
-    lines_.assign(size_t(numSets_) * cfg.dcacheAssoc, Line{});
+    keys_.assign(size_t(cfg.dcacheSets()) * cfg.dcacheAssoc, kNoTag);
+    lines_.assign(keys_.size(), Line{});
 
     if (stats) {
         const std::string prefix = strprintf("dcache%u.", id);
@@ -52,61 +56,55 @@ DCache::grantPort(Cycle arrive)
     return grant;
 }
 
-DCache::Line *
-DCache::lookup(PhysAddr addr)
+u32
+DCache::find(u32 line) const
 {
-    const u32 line = addr / cfg_->dcacheLineBytes;
-    const u32 set = line & (numSets_ - 1);
-    const u32 tag = line / numSets_;
-    Line *base = &lines_[size_t(set) * cfg_->dcacheAssoc];
-    for (u32 way = waysBegin_; way < waysEnd_; ++way)
-        if (base[way].valid && base[way].tag == tag)
-            return &base[way];
-    return nullptr;
-}
-
-const DCache::Line *
-DCache::lookup(PhysAddr addr) const
-{
-    return const_cast<DCache *>(this)->lookup(addr);
-}
-
-DCache::Line &
-DCache::victim(u32 set, Cycle now)
-{
-    Line *base = &lines_[size_t(set) * cfg_->dcacheAssoc];
-    Line *best = nullptr;
-    for (u32 way = waysBegin_; way < waysEnd_; ++way) {
-        Line &line = base[way];
-        if (!line.valid)
-            return line;
-        // Never evict a line whose fill is still in flight.
-        if (line.fillDone > now)
-            continue;
-        if (!best || line.lastUse < best->lastUse)
-            best = &line;
-    }
-    if (!best) {
-        // Every way is mid-fill; fall back to the LRU regardless (its
-        // fill will simply be wasted). Extremely rare by construction.
-        for (u32 way = waysBegin_; way < waysEnd_; ++way) {
-            Line &line = base[way];
-            if (!best || line.lastUse < best->lastUse)
-                best = &line;
-        }
-    }
-    return *best;
-}
-
-PhysAddr
-DCache::lineAddrOf(const Line &line, u32 set) const
-{
-    return (line.tag * numSets_ + set) * cfg_->dcacheLineBytes;
+    const u32 tag = line >> setShift_;
+    const u32 base = (line & setMask_) << assocShift_;
+    for (u32 slot = base + waysBegin_; slot < base + waysEnd_; ++slot)
+        if (keys_[slot] == tag)
+            return slot;
+    return kNoSlot;
 }
 
 void
-DCache::writeback(Line &line, u32 set, Cycle when, MemSystem &fabric)
+DCache::dropSlot(u32 slot)
 {
+    keys_[slot] = kNoTag;
+    lines_[slot].validMask = lines_[slot].dirtyMask = 0;
+}
+
+u32
+DCache::victim(u32 set, Cycle now) const
+{
+    const u32 base = set << assocShift_;
+    u32 best = kNoSlot;
+    for (u32 slot = base + waysBegin_; slot < base + waysEnd_; ++slot) {
+        if (keys_[slot] == kNoTag)
+            return slot;
+        // Never evict a line whose fill is still in flight.
+        if (lines_[slot].fillDone > now)
+            continue;
+        if (best == kNoSlot || lines_[slot].lastUse < lines_[best].lastUse)
+            best = slot;
+    }
+    if (best == kNoSlot) {
+        // Every way is mid-fill; fall back to the LRU regardless (its
+        // fill will simply be wasted). Extremely rare by construction.
+        for (u32 slot = base + waysBegin_; slot < base + waysEnd_;
+             ++slot) {
+            if (best == kNoSlot ||
+                lines_[slot].lastUse < lines_[best].lastUse)
+                best = slot;
+        }
+    }
+    return best;
+}
+
+void
+DCache::writeback(u32 slot, Cycle when, MemSystem &fabric)
+{
+    Line &line = lines_[slot];
     if (!line.dirtyMask)
         return;
     // Only the 32-byte blocks containing dirty bytes travel to memory.
@@ -119,7 +117,9 @@ DCache::writeback(Line &line, u32 set, Cycle when, MemSystem &fabric)
         if (line.dirtyMask & blockMask)
             ++dirtyBlocks;
     }
-    fabric.postWrite(when, lineAddrOf(line, set), dirtyBlocks, id_);
+    const u32 lineNum =
+        (keys_[slot] << setShift_) | (slot >> assocShift_);
+    fabric.postWrite(when, lineNum << lineShift_, dirtyBlocks, id_);
     ++writebacks_;
     wbBlocks_ += dirtyBlocks;
     line.dirtyMask = 0;
@@ -142,15 +142,16 @@ DCache::access(const CacheAccess &req, MemSystem &fabric)
         return CacheResult{grant + lat.memLocalHit, true, portWait};
     }
 
-    const u32 line = req.addr / cfg_->dcacheLineBytes;
-    const u32 set = line & (numSets_ - 1);
-    const u32 byteOff = req.addr & (cfg_->dcacheLineBytes - 1);
+    const u32 line = req.addr >> lineShift_;
+    const u32 byteOff = req.addr & ((1u << lineShift_) - 1);
     const u64 reqMask = req.bytes >= 64
                             ? ~u64(0)
                             : ((u64(1) << req.bytes) - 1) << byteOff;
+    const u32 lineBlocks = cfg_->dcacheLineBytes / cfg_->memBlockBytes;
 
-    Line *hitLine = lookup(req.addr);
-    if (hitLine) {
+    const u32 hitSlot = find(line);
+    if (hitSlot != kNoSlot) {
+        Line *hitLine = &lines_[hitSlot];
         hitLine->lastUse = grant;
         const bool filling = hitLine->fillDone > grant;
         const bool bytesThere = (hitLine->validMask & reqMask) == reqMask;
@@ -182,9 +183,8 @@ DCache::access(const CacheAccess &req, MemSystem &fabric)
         // (allocate-no-fetch residue): fetch and merge the line.
         ++misses_;
         const Cycle bankReq = grant + lat.missToBank;
-        BankGrant bg = fabric.fetchLine(
-            bankReq, line * cfg_->dcacheLineBytes,
-            cfg_->dcacheLineBytes / cfg_->memBlockBytes, id_);
+        BankGrant bg = fabric.fetchLine(bankReq, line << lineShift_,
+                                        lineBlocks, id_);
         const Cycle fillDone = bg.start + bg.transferCycles;
         hitLine->validMask = fullMask_;
         hitLine->fillDone = std::max(hitLine->fillDone, fillDone);
@@ -205,11 +205,11 @@ DCache::access(const CacheAccess &req, MemSystem &fabric)
         ++mshrFullWaits_;
     }
 
-    Line &way = victim(set, start);
-    if (way.valid)
-        writeback(way, set, start, fabric);
-    way.valid = true;
-    way.tag = line / numSets_;
+    const u32 slot = victim(line & setMask_, start);
+    if (keys_[slot] != kNoTag)
+        writeback(slot, start, fabric);
+    keys_[slot] = line >> setShift_;
+    Line &way = lines_[slot];
     way.lastUse = start;
 
     if (req.store && !req.atomic && cfg_->storeAllocNoFetch) {
@@ -226,8 +226,7 @@ DCache::access(const CacheAccess &req, MemSystem &fabric)
 
     const Cycle bankReq = start + lat.missToBank;
     BankGrant bg =
-        fabric.fetchLine(bankReq, line * cfg_->dcacheLineBytes,
-                         cfg_->dcacheLineBytes / cfg_->memBlockBytes, id_);
+        fabric.fetchLine(bankReq, line << lineShift_, lineBlocks, id_);
     const Cycle fillDone = bg.start + bg.transferCycles;
     way.validMask = fullMask_;
     way.dirtyMask = req.store ? reqMask : 0;
@@ -242,12 +241,10 @@ Cycle
 DCache::flushLine(PhysAddr addr, Cycle arrive, MemSystem &fabric)
 {
     const Cycle grant = grantPort(arrive);
-    Line *line = lookup(addr);
-    if (line) {
-        const u32 set = (addr / cfg_->dcacheLineBytes) & (numSets_ - 1);
-        writeback(*line, set, grant, fabric);
-        line->valid = false;
-        line->validMask = line->dirtyMask = 0;
+    const u32 slot = find(addr >> lineShift_);
+    if (slot != kNoSlot) {
+        writeback(slot, grant, fabric);
+        dropSlot(slot);
     }
     return grant + cfg_->lat.memLocalHit;
 }
@@ -256,27 +253,24 @@ Cycle
 DCache::invalidateLine(PhysAddr addr, Cycle arrive)
 {
     const Cycle grant = grantPort(arrive);
-    Line *line = lookup(addr);
-    if (line) {
-        line->valid = false;
-        line->validMask = line->dirtyMask = 0;
-    }
+    const u32 slot = find(addr >> lineShift_);
+    if (slot != kNoSlot)
+        dropSlot(slot);
     return grant + cfg_->lat.memLocalHit;
 }
 
 bool
 DCache::probe(PhysAddr addr) const
 {
-    return lookup(addr) != nullptr;
+    return find(addr >> lineShift_) != kNoSlot;
 }
 
 bool
 DCache::faultLine(u32 idx)
 {
-    Line &line = lines_[idx % lines_.size()];
-    const bool wasValid = line.valid;
-    line.valid = false;
-    line.validMask = line.dirtyMask = 0;
+    const u32 slot = idx % u32(keys_.size());
+    const bool wasValid = keys_[slot] != kNoTag;
+    dropSlot(slot);
     return wasValid;
 }
 

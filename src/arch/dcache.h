@@ -71,11 +71,11 @@ class DCache
     /** True if the line holding @p addr is resident (tests/statistics). */
     bool probe(PhysAddr addr) const;
 
-    /** Number of resident lines whose tag matches @p addr's line. */
+    /** Bytes of the ways partitioned off as scratchpad (0 if none). */
     u32 scratchBytes() const { return scratchBytes_; }
 
     /** Total line slots (sets x ways), for fault-injection targeting. */
-    u32 numLines() const { return u32(lines_.size()); }
+    u32 numLines() const { return u32(keys_.size()); }
 
     /**
      * Transient fault in line slot @p idx: drop it from the directory
@@ -91,33 +91,49 @@ class DCache
     u32 waysEnd() const { return waysEnd_; }
 
   private:
+    /** Per-slot state besides the tag (which lives in keys_). */
     struct Line
     {
-        u32 tag = 0;
-        bool valid = false;
         u64 validMask = 0; ///< bit per byte: contents present
         u64 dirtyMask = 0; ///< bit per byte: needs writeback
         Cycle fillDone = 0;
         Cycle lastUse = 0;
     };
 
-    Line *lookup(PhysAddr addr);
-    const Line *lookup(PhysAddr addr) const;
-    Line &victim(u32 set, Cycle now);
-    void writeback(Line &line, u32 set, Cycle when, MemSystem &fabric);
-    PhysAddr lineAddrOf(const Line &line, u32 set) const;
+    /** keys_ value of an empty slot; no 32-bit address has this tag. */
+    static constexpr u32 kNoTag = ~0u;
+    /** find()/victim() result meaning "no slot". */
+    static constexpr u32 kNoSlot = ~0u;
+
+    /** Slot holding line number @p line, or kNoSlot. */
+    u32 find(u32 line) const;
+    /** Drop slot @p slot from the directory (tag, valid and dirty). */
+    void dropSlot(u32 slot);
+    u32 victim(u32 set, Cycle now) const;
+    void writeback(u32 slot, Cycle when, MemSystem &fabric);
 
     /** Reserve the single cache port; returns the grant cycle. */
     Cycle grantPort(Cycle arrive);
 
     CacheId id_ = 0;
     const ChipConfig *cfg_ = nullptr;
-    u32 numSets_ = 0;
+    // Geometry as shifts and masks: validate() guarantees power-of-two
+    // line size, set count and associativity.
+    u32 lineShift_ = 0;  ///< log2(line bytes)
+    u32 setShift_ = 0;   ///< log2(sets)
+    u32 setMask_ = 0;    ///< sets - 1
+    u32 assocShift_ = 0; ///< log2(ways per set)
     u32 waysBegin_ = 0; ///< first way usable as cache (after scratch ways)
     u32 waysEnd_ = 0;   ///< one past the last live way (reduced-way faults)
     u32 scratchBytes_ = 0;
     u64 fullMask_ = 0;  ///< valid mask covering the whole line
-    std::vector<Line> lines_; ///< sets * assoc, way-major within a set
+    // The tag directory, split so a lookup scans one dense 4-byte key
+    // per way (32 bytes for a set of 8) instead of whole Line records.
+    // keys_[slot] is the tag of a valid slot, kNoTag otherwise; it is
+    // the only record of validity. Both arrays are sets * assoc,
+    // way-major within a set.
+    std::vector<u32> keys_;
+    std::vector<Line> lines_;
 
     Cycle portFree_ = 0;
     std::vector<Cycle> fills_; ///< MSHR: completion times of live fills

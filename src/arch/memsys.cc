@@ -54,6 +54,7 @@ MemSystem::rebuildRouteLut()
         }
         entry.memberCount = u8(igGroupMembers(ig, cfg_->numCaches(),
                                               cacheMask_, entry.members));
+        entry.membersPow2 = isPow2(entry.memberCount);
     }
 
     // Own-class references of a TU whose local cache is dead are served
@@ -83,12 +84,6 @@ MemSystem::updateBankGeometry()
         bankShift_ = log2i(numAvail);
         bankMask_ = numAvail - 1;
     }
-}
-
-u32
-MemSystem::availableMemBytes() const
-{
-    return u32(availBanks_.size()) * cfg_->bankBytes;
 }
 
 MemSystem::BankRoute
@@ -176,10 +171,15 @@ MemSystem::routeCacheEntry(const RouteEntry &entry, Addr ea,
         if (entry.memberCount == 1)
             return entry.members[0];
         // Deterministic address scrambling over the precomputed member
-        // set — identical to igSelectCache() on the same mask.
+        // set — identical to igSelectCache() on the same mask. On a
+        // healthy chip every group has a power-of-two member count, so
+        // a mask replaces the divide; disabled caches can leave any.
         const PhysAddr lineAddr = igPhys(ea) & ~PhysAddr(
             cfg_->dcacheLineBytes - 1);
-        return entry.members[scramble32(lineAddr) % entry.memberCount];
+        const u32 hash = scramble32(lineAddr);
+        return entry.members[entry.membersPow2
+                                 ? hash & (entry.memberCount - 1u)
+                                 : hash % entry.memberCount];
       }
     }
 }
@@ -214,7 +214,15 @@ MemSystem::access(Cycle now, ThreadId tid, Addr ea, u8 bytes, MemKind kind)
             guestCheck("scratchpad access to disabled cache %u "
                        "(thread %u)", sc, tid);
     }
+    return accessRouted(now, tid, ea, entry, bytes, kind);
+}
 
+MemTiming
+MemSystem::accessRouted(Cycle now, ThreadId tid, Addr ea,
+                        const RouteEntry &entry, u8 bytes, MemKind kind)
+{
+    const PhysAddr pa = igPhys(ea);
+    const bool scratch = entry.cls == IgClass::Scratch;
     const CacheId target = routeCacheEntry(entry, ea, tid);
     const CacheId local = localCacheOf(tid);
     const bool remote = target != local;

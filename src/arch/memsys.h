@@ -116,6 +116,7 @@ class MemSystem
         IgClass cls = IgClass::All;
         u8 index = 0;       ///< group index within the size class
         u8 memberCount = 0; ///< 0 for Own/Scratch (caller-resolved)
+        bool membersPow2 = false; ///< memberCount is a power of two
         u8 members[32] = {}; ///< enabled member cache ids, ascending
     };
 
@@ -125,6 +126,20 @@ class MemSystem
     {
         return routeLut_[field];
     }
+
+    /**
+     * access() without its guest checks, for a caller that has already
+     * resolved @p entry (= routeEntry(igField(ea))) and proved the
+     * access valid: @p bytes is 1, 2, 4 or 8, the physical address is
+     * aligned and in range, and a scratch target cache is enabled.
+     * Chip::memAccess() establishes all of that in its functional
+     * half, so each guest error is raised exactly once, there. The
+     * same scratch "no partitioned ways" check in DCache::access can
+     * then not fire either.
+     */
+    MemTiming accessRouted(Cycle now, ThreadId tid, Addr ea,
+                           const RouteEntry &entry, u8 bytes,
+                           MemKind kind);
 
     /** Bank id + bank-local address an embedded address maps to. */
     std::pair<BankId, PhysAddr> routeInfo(PhysAddr addr) const;
@@ -144,7 +159,11 @@ class MemSystem
     bool cacheEnabled(CacheId id) const { return (cacheMask_ >> id) & 1u; }
 
     /** Bytes of embedded memory currently addressable (MEMSZ SPR). */
-    u32 availableMemBytes() const;
+    u32
+    availableMemBytes() const
+    {
+        return u32(availBanks_.size()) * cfg_->bankBytes;
+    }
 
     /** Number of operational banks. */
     u32 availableBanks() const { return u32(availBanks_.size()); }

@@ -58,26 +58,6 @@ ThreadUnit::setRegPair(unsigned even, double value)
     setReg(even + 1, u32(raw >> 32));
 }
 
-ThreadUnit::Hazard
-ThreadUnit::hazardsClearAt(const Instr &instr) const
-{
-    const InstrMeta &m = isa::meta(instr.op);
-    Hazard h;
-    auto consider = [&](unsigned reg, bool pair) {
-        if (ready_[reg] > h.at)
-            h = {ready_[reg], reg};
-        if (pair && ready_[reg + 1] > h.at)
-            h = {ready_[reg + 1], reg + 1};
-    };
-    if (m.readsRa)
-        consider(instr.ra, m.fpPairRa);
-    if (m.readsRb)
-        consider(instr.rb, m.fpPairRb);
-    if (m.readsRd || m.writesRd)
-        consider(instr.rd, m.fpPairRd);
-    return h;
-}
-
 Cycle
 ThreadUnit::tick(Cycle now)
 {
@@ -101,30 +81,40 @@ ThreadUnit::tick(Cycle now)
         return wake;
     }
 
-    const Instr &instr = chip_.decodedAt(pc_);
+    const DecodedOp &op = chip_.opAt(pc_);
 
-    // Register dependences (sources, and WAW on the destination):
-    // charge the wait to whatever the producing instruction was
-    // waiting on (its stall category and queueing share).
-    const Hazard hazard = hazardsClearAt(instr);
-    if (hazard.at > now) {
-        accountMemWait(now, hazard.at,
-                       static_cast<CycleCat>(prodCat_[hazard.reg]),
-                       prodQueue_[hazard.reg]);
+    // Register dependences (sources, and WAW on the destination): the
+    // first of the latest-clearing registers decides. Charge the wait
+    // to whatever its producing instruction was waiting on (its stall
+    // category and queueing share).
+    Cycle hazardAt = 0;
+    unsigned hazardReg = 0;
+    for (u32 i = 0; i < op.numHazardRegs; ++i) {
+        const unsigned reg = op.hazardRegs[i];
+        if (ready_[reg] > hazardAt) {
+            hazardAt = ready_[reg];
+            hazardReg = reg;
+        }
+    }
+    if (hazardAt > now) {
+        accountMemWait(now, hazardAt,
+                       static_cast<CycleCat>(prodCat_[hazardReg]),
+                       prodQueue_[hazardReg]);
         // The queueing share is charged once, not per retry.
-        prodQueue_[hazard.reg] = 0;
-        return hazard.at;
+        prodQueue_[hazardReg] = 0;
+        return hazardAt;
     }
 
-    return issue(now, instr);
+    return issue(now, op);
 }
 
 Cycle
-ThreadUnit::issue(Cycle now, const Instr &instr)
+ThreadUnit::issue(Cycle now, const DecodedOp &op)
 {
     const ChipConfig &cfg = chip_.config();
     const LatencyConfig &lat = cfg.lat;
-    const InstrMeta &m = isa::meta(instr.op);
+    const Instr &instr = op.instr;
+    const InstrMeta &m = *op.meta;
     const u8 rd = instr.rd, ra = instr.ra, rb = instr.rb;
     const s32 imm = instr.imm;
     PhysAddr nextPc = pc_ + 4;
@@ -285,15 +275,15 @@ ThreadUnit::issue(Cycle now, const Instr &instr)
                         t.queueWait);
             mem_.add(t.ready, t.fabric);
         } else if (m.unit == UnitClass::Load) {
-            u64 raw = chip_.memRead(ea, m.memBytes, tid_);
+            u64 raw = 0;
+            MemTiming t = chip_.memAccess(now, tid_, ea, m.memBytes,
+                                          MemKind::Load, &raw);
             switch (instr.op) {
               case Opcode::Lb: raw = u32(s32(s8(raw))); break;
               case Opcode::Lh: raw = u32(s32(s16(raw))); break;
               default: break;
             }
             notePoll(pc_, ea, raw);
-            MemTiming t =
-                chip_.dmem(now, tid_, ea, m.memBytes, MemKind::Load);
             noteDmem(t.hit);
             const CycleCat prod = t.fabric ? CycleCat::RemoteWait
                                            : CycleCat::DcacheMiss;
@@ -312,9 +302,8 @@ ThreadUnit::issue(Cycle now, const Instr &instr)
             u64 value = regs_[rd];
             if (m.memBytes == 8)
                 value |= u64(regs_[rd + 1]) << 32;
-            chip_.memWrite(ea, m.memBytes, value, tid_);
-            MemTiming t =
-                chip_.dmem(now, tid_, ea, m.memBytes, MemKind::Store);
+            MemTiming t = chip_.memAccess(now, tid_, ea, m.memBytes,
+                                          MemKind::Store, &value);
             noteDmem(t.hit);
             mem_.add(t.ready, t.fabric);
         }

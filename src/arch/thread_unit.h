@@ -24,6 +24,7 @@ namespace cyclops::arch
 {
 
 class Chip;
+struct DecodedOp;
 
 /** One hardware thread executing Cyclops machine code. */
 class ThreadUnit : public Unit
@@ -61,19 +62,8 @@ class ThreadUnit : public Unit
     }
 
   private:
-    /** The register (and its ready time) that delays an issue longest. */
-    struct Hazard {
-        Cycle at = 0;
-        unsigned reg = 0;
-    };
-
     /** Issue one instruction; returns the next cycle to run. */
-    Cycle issue(Cycle now, const isa::Instr &instr);
-
-    /** Latest-clearing register hazard of @p instr (sources + WAW). */
-    Hazard hazardsClearAt(const isa::Instr &instr) const;
-
-    Cycle regReadyAt(unsigned index) const { return ready_[index]; }
+    Cycle issue(Cycle now, const DecodedOp &op);
 
     /**
      * Mark @p index ready at @p at, remembering which stall category a

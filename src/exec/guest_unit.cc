@@ -67,18 +67,7 @@ MemTiming
 GuestUnit::issueMem(Cycle now, MemKind kind, Addr ea, u8 bytes,
                     u64 *inout)
 {
-    switch (kind) {
-      case MemKind::Load:
-      case MemKind::Prefetch:
-        *inout = chip_.memRead(ea, bytes, tid_);
-        break;
-      case MemKind::Store:
-        chip_.memWrite(ea, bytes, *inout, tid_);
-        break;
-      case MemKind::Atomic:
-        break; // caller performs the read-modify-write
-    }
-    MemTiming t = chip_.dmem(now, tid_, ea, bytes, kind);
+    MemTiming t = chip_.memAccess(now, tid_, ea, bytes, kind, inout);
     noteDmem(t.hit);
     return t;
 }

@@ -51,7 +51,7 @@ class GuestUnit : public arch::Unit
     StepResult stepCentral(Cycle now, MicroOp &op);
     StepResult stepTree(Cycle now, MicroOp &op);
 
-    /** Issue one data-memory access: functional + timing. */
+    /** Issue one load or store: functional + timing, one route. */
     arch::MemTiming issueMem(Cycle now, arch::MemKind kind, Addr ea,
                              u8 bytes, u64 *inout);
 

@@ -14,8 +14,10 @@
 #include "common/log.h"
 #include "common/rng.h"
 #include "isa/builder.h"
+#include "isa/encoding.h"
 #include "kernel/heap.h"
 #include "kernel/kernel.h"
+#include "verify/digest.h"
 
 using namespace cyclops;
 using namespace cyclops::arch;
@@ -265,6 +267,143 @@ TEST(DCache, PortSerializesAccesses)
         last = std::max(
             last, f.mem().access(t0, tid, ea, 8, MemKind::Load).ready);
     EXPECT_EQ(last, t0 + 3 + 6); // 4th access granted at t0+3
+}
+
+namespace
+{
+
+/**
+ * Drive one cache with a seeded mix of loads, stores, atomics,
+ * scratch accesses, flushes, invalidations, slot faults and probes,
+ * and hash every result: CacheResult (ready, hit, queueWait), the
+ * completion cycle of each flush/invalidate, each faultLine and probe
+ * outcome, and the cache's counters at the end. The addresses crowd
+ * two sets with 24 tags each, so ways fill, evict and write back.
+ */
+u64
+dcacheResultStream(const ChipConfig &cfg, u64 seed)
+{
+    Chip chip(cfg);
+    MemSystem &ms = chip.memsys();
+    DCache &dc = ms.dcache(0);
+    const u32 setStride = cfg.dcacheSets() * cfg.dcacheLineBytes;
+    Rng rng(seed);
+    u64 h = verify::kFnvOffset;
+    auto fold = [&h](const auto &value) {
+        h = verify::fnv1a(&value, sizeof value, h);
+    };
+    Cycle t = 1;
+    for (u32 i = 0; i < 6000; ++i) {
+        t += rng.below(12);
+        const u32 bytes = 1u << rng.below(4);
+        const PhysAddr addr =
+            0x40000 + PhysAddr(rng.below(24)) * setStride +
+            PhysAddr(rng.below(2)) * cfg.dcacheLineBytes +
+            PhysAddr(rng.below(cfg.dcacheLineBytes / bytes)) * bytes;
+        const u64 op = rng.below(100);
+        if (op < 80) {
+            CacheAccess req;
+            req.addr = addr;
+            req.bytes = u8(bytes);
+            req.arrive = t;
+            req.store = op >= 45;
+            req.atomic = op >= 75;
+            req.scratch = dc.scratchBytes() != 0 && op < 5;
+            const CacheResult r = dc.access(req, ms);
+            fold(r.ready);
+            fold(r.hit);
+            fold(r.queueWait);
+        } else if (op < 85) {
+            fold(dc.flushLine(addr, t, ms));
+        } else if (op < 89) {
+            fold(dc.invalidateLine(addr, t));
+        } else if (op < 92) {
+            fold(dc.faultLine(u32(rng.below(dc.numLines()))));
+        } else {
+            fold(dc.probe(addr));
+        }
+    }
+    for (const char *name :
+         {"hits", "misses", "storeAllocs", "loadMerges", "writebacks",
+          "wbBlocks", "portWaitCycles", "mshrFullWaits",
+          "scratchAccesses"})
+        fold(chip.stats().counterValue(std::string("dcache0.") + name));
+    return h;
+}
+
+} // namespace
+
+TEST(DCache, ResultStreamMatchesParent)
+{
+    // Pinned against the pre-optimisation lookup (division indexing,
+    // tag/valid stored in each line): the tag-key fast path must
+    // reproduce every result bit for bit on each geometry.
+    ChipConfig scratch;
+    scratch.dcacheScratchWays = 2;
+    ChipConfig reduced;
+    reduced.fault.cacheWays = 3;
+    EXPECT_EQ(dcacheResultStream(ChipConfig{}, 1), 0xa4d60abb83ba6f60ull);
+    EXPECT_EQ(dcacheResultStream(scratch, 2), 0xb3d6d69c158033c5ull);
+    EXPECT_EQ(dcacheResultStream(reduced, 3), 0x21888eebfe7efd06ull);
+}
+
+// ---------------------------------------------------------------------------
+// Predecoded program text (Chip::loadProgram / opAt).
+// ---------------------------------------------------------------------------
+
+TEST(Predecode, RecordMatchesMetaForEveryOpcode)
+{
+    // One instruction of every opcode. ra, rb and rd get distinct even
+    // registers, so FP pairs and the ra -> rb -> rd order both show in
+    // each hazard list.
+    isa::Program program;
+    std::vector<isa::Instr> instrs;
+    for (unsigned code = 0; code < isa::kNumOpcodes; ++code) {
+        isa::Instr in;
+        in.op = static_cast<isa::Opcode>(code);
+        const isa::InstrMeta &m = isa::meta(in.op);
+        if (m.readsRa)
+            in.ra = 10;
+        if (m.readsRb)
+            in.rb = 20;
+        if (m.readsRd || m.writesRd)
+            in.rd = 30;
+        instrs.push_back(in);
+        program.text.push_back(isa::encodeOrDie(in));
+    }
+    Chip chip;
+    chip.loadProgram(program);
+
+    for (size_t i = 0; i < instrs.size(); ++i) {
+        const isa::Instr &in = instrs[i];
+        const isa::InstrMeta &m = isa::meta(in.op);
+        const DecodedOp &op = chip.opAt(program.textBase + u32(i) * 4);
+        SCOPED_TRACE(isa::mnemonic(in.op));
+        EXPECT_EQ(op.instr, in);
+        ASSERT_EQ(op.meta, &m);
+        EXPECT_EQ(op.meta->unit, m.unit);
+        EXPECT_EQ(op.meta->memBytes, m.memBytes);
+        std::vector<u8> want;
+        auto expect = [&want](u8 reg, bool pair) {
+            want.push_back(reg);
+            if (pair)
+                want.push_back(u8(reg + 1));
+        };
+        if (m.readsRa)
+            expect(in.ra, m.fpPairRa);
+        if (m.readsRb)
+            expect(in.rb, m.fpPairRb);
+        if (m.readsRd || m.writesRd)
+            expect(in.rd, m.fpPairRd);
+        EXPECT_EQ(std::vector<u8>(op.hazardRegs,
+                                  op.hazardRegs + op.numHazardRegs),
+                  want);
+    }
+
+    // Past the end of the text, and a misaligned PC, crash the guest.
+    EXPECT_THROW(chip.opAt(program.textBase + program.textBytes()),
+                 GuestError);
+    EXPECT_THROW(chip.opAt(program.textBase + 2), GuestError);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,13 +2,15 @@
  * @file
  * Unit tests for the cycle engine's wheel-bitmap fast-forward (idle
  * gaps inside and beyond the wheel window, wrap-around, far-queue
- * interaction) and for the memory switch's bank routing before and
- * after bank failures (power-of-two shift/mask fast path vs. the
- * remapped modulo slow path).
+ * interaction), its exact same-cycle service order, and the memory
+ * switch's bank routing before and after bank failures (power-of-two
+ * shift/mask fast path vs. the remapped modulo slow path).
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "arch/chip.h"
@@ -162,6 +164,185 @@ TEST(CycleEngine, CycleLimitStopsAndResumes)
     EXPECT_EQ(chip.run(), RunExit::AllHalted);
     ASSERT_EQ(raw->ticks.size(), 2u);
     EXPECT_EQ(raw->ticks[1], 10000u);
+}
+
+// ---------------------------------------------------------------------------
+// Service order: which unit ticks when, and in which order within a
+// cycle. Every frontend's shared-resource arbitration (ports, banks,
+// FPUs) rides on this order, so any change to the wheel, the now+1
+// ready list or the rotation must reproduce it exactly.
+// ---------------------------------------------------------------------------
+
+namespace
+{
+
+/**
+ * A unit driven by a script: on its k-th tick it appends "cycle:tid"
+ * to a shared log and returns script(now, k) — the next wake cycle,
+ * or kCycleNever to halt.
+ */
+class ScriptUnit : public Unit
+{
+  public:
+    using Script = std::function<Cycle(Cycle now, u32 k)>;
+
+    ScriptUnit(ThreadId tid, std::string *log, Script script)
+        : Unit(tid), log_(log), script_(std::move(script))
+    {
+    }
+
+    Cycle
+    tick(Cycle now) override
+    {
+        *log_ += std::to_string(now) + ":" + std::to_string(tid_) + " ";
+        const Cycle wake = script_(now, ticks_++);
+        if (wake == kCycleNever)
+            markHalted();
+        return wake;
+    }
+
+  private:
+    std::string *log_;
+    Script script_;
+    u32 ticks_ = 0;
+};
+
+/** Script: wake at each listed absolute cycle, then halt. */
+ScriptUnit::Script
+wakesAt(std::vector<Cycle> wakes)
+{
+    return [wakes](Cycle, u32 k) {
+        return k < wakes.size() ? wakes[k] : kCycleNever;
+    };
+}
+
+/** Script: @p ticks ticks, each @p step cycles after the last. */
+ScriptUnit::Script
+everyN(u32 ticks, Cycle step)
+{
+    return [ticks, step](Cycle now, u32 k) {
+        return k + 1 < ticks ? now + step : kCycleNever;
+    };
+}
+
+void
+install(Chip &chip, std::string *log, ThreadId tid,
+        ScriptUnit::Script script)
+{
+    chip.setUnit(tid, std::make_unique<ScriptUnit>(tid, log,
+                                                   std::move(script)));
+}
+
+/** Log suffix that pins where the engine stopped and what it counted. */
+std::string
+endState(Chip &chip)
+{
+    return "| now=" + std::to_string(chip.now()) + " cycles=" +
+           std::to_string(chip.stats().counterValue("chip.cycles"));
+}
+
+} // namespace
+
+TEST(CycleEngine, ServiceOrderMatchesParent)
+{
+    // (a) Same-cycle rotation with 1, 3 and 5 due units, activated out
+    // of tid order so the rotation start (now % n) is visible.
+    const std::vector<ThreadId> order = {17, 0, 30, 5, 9};
+    const char *const rotation[] = {
+        "1:17 3:17 4:17 7:17 8:17 | now=9 cycles=9",
+        "1:0 1:30 1:17 3:0 3:30 3:17 4:30 4:17 4:0 7:17 7:0 7:30 8:30 "
+        "8:17 8:0 | now=9 cycles=9",
+        "1:0 1:30 1:5 1:9 1:17 3:9 3:17 3:0 3:30 3:5 4:5 4:9 4:17 4:0 "
+        "4:30 7:17 7:0 7:30 7:5 7:9 8:5 8:9 8:17 8:0 8:30 | now=9 "
+        "cycles=9",
+    };
+    const u32 counts[] = {1, 3, 5};
+    for (u32 c = 0; c < 3; ++c) {
+        Chip chip;
+        std::string log;
+        for (u32 i = 0; i < counts[c]; ++i)
+            install(chip, &log, order[i], wakesAt({3, 4, 7, 8}));
+        for (u32 i = 0; i < counts[c]; ++i)
+            chip.activate(order[i]);
+        EXPECT_EQ(chip.run(), RunExit::AllHalted);
+        EXPECT_EQ(log + endState(chip), rotation[c]) << counts[c];
+    }
+
+    // (b) Units rescheduling at now+1 from tick, sharing cycles with
+    // wheel wakes (delta 2 and 3) and, at cycle 1100, with a far-heap
+    // wake: same-slot wheel entries, now+1 wakes and far entries meet.
+    {
+        Chip chip;
+        std::string log;
+        install(chip, &log, 2, everyN(6, 1));
+        install(chip, &log, 3, [](Cycle now, u32 k) {
+            return k < 5 ? now + (k % 2 ? 1 : 2) : kCycleNever;
+        });
+        install(chip, &log, 4, everyN(3, 3));
+        install(chip, &log, 6, wakesAt({1100}));
+        install(chip, &log, 7, wakesAt({1097, 1098, 1099, 1100}));
+        install(chip, &log, 8, wakesAt({1090, 1100}));
+        for (ThreadId t : {4, 2, 3, 6, 7, 8})
+            chip.activate(t);
+        EXPECT_EQ(chip.run(), RunExit::AllHalted);
+        EXPECT_EQ(log + endState(chip),
+                  "1:2 1:3 1:6 1:7 1:8 1:4 2:2 3:2 3:3 4:2 4:3 4:4 5:2 "
+                  "6:3 6:2 7:3 7:4 9:3 1090:8 1097:7 1098:7 1099:7 "
+                  "1100:6 1100:8 1100:7 | now=1101 cycles=1101");
+    }
+
+    // (c) A tick that activates other units mid-cycle: at cycle 3 unit
+    // 1 activates unit 10 (no time given: the next cycle), unit 11
+    // (now+1) and unit 12 (now+3) while units 0 and 2 tick every cycle
+    // around it.
+    {
+        Chip chip;
+        std::string log;
+        install(chip, &log, 0, everyN(6, 1));
+        install(chip, &log, 2, everyN(6, 1));
+        install(chip, &log, 1, [&chip](Cycle now, u32 k) {
+            if (now == 3) {
+                chip.activate(10);
+                chip.activate(11, now + 1);
+                chip.activate(12, now + 3);
+            }
+            return k < 4 ? now + 1 : kCycleNever;
+        });
+        for (ThreadId t : {10, 11, 12})
+            install(chip, &log, t, everyN(3, 1));
+        for (ThreadId t : {2, 1, 0})
+            chip.activate(t);
+        EXPECT_EQ(chip.run(), RunExit::AllHalted);
+        EXPECT_EQ(log + endState(chip),
+                  "1:1 1:0 1:2 2:2 2:1 2:0 3:2 3:1 3:0 4:0 4:2 4:10 "
+                  "4:11 4:1 5:0 5:2 5:10 5:11 5:1 6:0 6:2 6:10 6:11 "
+                  "6:12 7:12 8:12 | now=9 cycles=9");
+    }
+
+    // (d) run(k) stops on CycleLimit with wakes for the current cycle
+    // still pending; units 20 and 21 are then activated for the
+    // current cycle (served from the next one) and unit 22 for now+2
+    // before the run resumes.
+    {
+        Chip chip;
+        std::string log;
+        install(chip, &log, 0, everyN(10, 1));
+        install(chip, &log, 1, everyN(5, 2));
+        for (ThreadId t : {20, 21, 22})
+            install(chip, &log, t, everyN(3, 1));
+        chip.activate(1);
+        chip.activate(0);
+        EXPECT_EQ(chip.run(5), RunExit::CycleLimit);
+        log += "| ";
+        chip.activate(20);
+        chip.activate(21, chip.now());
+        chip.activate(22, chip.now() + 2);
+        EXPECT_EQ(chip.run(), RunExit::AllHalted);
+        EXPECT_EQ(log + endState(chip),
+                  "1:0 1:1 2:0 3:0 3:1 4:0 | 5:0 5:1 6:20 6:21 6:0 "
+                  "7:20 7:21 7:0 7:22 7:1 8:20 8:21 8:0 8:22 9:1 9:0 "
+                  "9:22 10:0 | now=11 cycles=11");
+    }
 }
 
 // ---------------------------------------------------------------------------
