@@ -18,9 +18,14 @@
  * cycle counts printed alongside are deterministic and double as a
  * quick cross-check that an optimization did not change results.
  * Overhead experiments (profiler, host telemetry, fabric
- * observability) therefore report the median of repeated runs plus
- * the coefficient of variation (see DESIGN.md section 15).
+ * observability, fault model) therefore time each run in the calling
+ * thread's CPU time (CLOCK_THREAD_CPUTIME_ID), which other processes
+ * on a shared host cannot inflate, and report the median of repeated
+ * interleaved runs plus the coefficient of variation (see DESIGN.md
+ * section 15).
  */
+
+#include <time.h>
 
 #include <algorithm>
 #include <chrono>
@@ -62,6 +67,7 @@ struct Measurement
     u64 simCycles = 0;
     u64 instructions = 0;
     double wallSeconds = 0;
+    double cpuSeconds = 0;     ///< calling thread's CPU time
     arch::CycleBreakdown attr; ///< where the simulated cycles went
     FabricCounters fabric;     ///< multi-chip rows only
 
@@ -69,6 +75,12 @@ struct Measurement
     cyclesPerSec() const
     {
         return wallSeconds > 0 ? double(simCycles) / wallSeconds : 0;
+    }
+    /** Cycles per thread-CPU second: the overhead experiments' rate. */
+    double
+    cpuCyclesPerSec() const
+    {
+        return cpuSeconds > 0 ? double(simCycles) / cpuSeconds : 0;
     }
     double
     mips() const
@@ -80,12 +92,29 @@ struct Measurement
 };
 
 double
-secondsSince(std::chrono::steady_clock::time_point start)
+threadCpuSeconds()
 {
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start)
-        .count();
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return double(ts.tv_sec) + double(ts.tv_nsec) * 1e-9;
 }
+
+/** Wall and calling-thread CPU time from construction to stop(). */
+struct Stopwatch
+{
+    std::chrono::steady_clock::time_point wall =
+        std::chrono::steady_clock::now();
+    double cpu = threadCpuSeconds();
+
+    void
+    stop(Measurement *m) const
+    {
+        m->wallSeconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - wall)
+                             .count();
+        m->cpuSeconds = threadCpuSeconds() - cpu;
+    }
+};
 
 Measurement
 measureStream(const char *name, StreamKernel kernel, u32 threads,
@@ -98,11 +127,11 @@ measureStream(const char *name, StreamKernel kernel, u32 threads,
     ChipConfig chipCfg;
     chipCfg.obs.profInterval = profInterval;
     chipCfg.obs.hostObs = hostObs;
-    const auto start = std::chrono::steady_clock::now();
+    const Stopwatch watch;
     const StreamResult result = runStream(cfg, chipCfg);
     Measurement m;
     m.name = name;
-    m.wallSeconds = secondsSince(start);
+    watch.stop(&m);
     m.simCycles = result.simCycles;
     m.instructions = result.instructions;
     m.attr = result.attr;
@@ -114,17 +143,18 @@ measureStream(const char *name, StreamKernel kernel, u32 threads,
 /** A Measurement selected from repeated runs plus the run-to-run noise. */
 struct Repeated
 {
-    Measurement m;     ///< the run with the median cycles/sec
+    Measurement m;     ///< the run with the median CPU-time rate
     u32 repeats = 0;
-    double covPct = 0; ///< stddev/mean of cycles/sec, percent
+    double covPct = 0; ///< stddev/mean of the CPU-time rate, percent
 };
 
 /**
- * Run @p fn @p repeats times and keep the median-rate run. Single-run
- * wall clocks on a loaded host are noisy enough to report negative
- * overheads for free features; the median washes that out and the
- * coefficient of variation says how trustworthy the number is
- * (tools/check_simperf.py rejects implausibly noisy runs).
+ * Keep the median-rate run of @p runs, by cycles per thread-CPU
+ * second. Single-run wall clocks on a loaded host are noisy enough to
+ * report negative overheads for free features; thread CPU time drops
+ * the time other processes hold the core, the median washes out the
+ * rest, and the coefficient of variation says how trustworthy the
+ * number is (tools/check_simperf.py rejects implausibly noisy runs).
  */
 Repeated
 selectMedian(std::vector<Measurement> runs)
@@ -132,15 +162,15 @@ selectMedian(std::vector<Measurement> runs)
     std::vector<size_t> order(runs.size());
     std::iota(order.begin(), order.end(), size_t(0));
     std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-        return runs[a].cyclesPerSec() < runs[b].cyclesPerSec();
+        return runs[a].cpuCyclesPerSec() < runs[b].cpuCyclesPerSec();
     });
     double mean = 0;
     for (const Measurement &r : runs)
-        mean += r.cyclesPerSec();
+        mean += r.cpuCyclesPerSec();
     mean /= double(runs.size());
     double var = 0;
     for (const Measurement &r : runs) {
-        const double d = r.cyclesPerSec() - mean;
+        const double d = r.cpuCyclesPerSec() - mean;
         var += d * d;
     }
     var /= double(runs.size());
@@ -176,12 +206,12 @@ repeatMedianPair(u32 repeats, FnOff fnOff, FnOn fnOn)
 Measurement
 measureFft(const char *name, u32 threads, u32 points)
 {
-    const auto start = std::chrono::steady_clock::now();
+    const Stopwatch watch;
     const SplashResult result =
         runFft(threads, points, BarrierKind::Hw, ChipConfig{});
     Measurement m;
     m.name = name;
-    m.wallSeconds = secondsSince(start);
+    watch.stop(&m);
     m.simCycles = result.cycles;
     m.instructions = result.instructions;
     m.attr = result.attr;
@@ -234,11 +264,11 @@ measureMultiChip(const char *name, u32 dx, u32 dy, u32 dz, u32 words,
         cfg.obs.traceCats = traceBit(TraceCat::Net);
         cfg.obs.traceCapacity = 4096;
     }
-    const auto start = std::chrono::steady_clock::now();
+    const Stopwatch watch;
     const MultiChipResult result = runHaloExchange(cfg);
     Measurement m;
     m.name = name;
-    m.wallSeconds = secondsSince(start);
+    watch.stop(&m);
     m.simCycles = result.cycles;
     m.instructions = result.instructions;
     m.attr = result.attr;
@@ -260,6 +290,7 @@ measureMultiChip(const char *name, u32 dx, u32 dy, u32 dz, u32 words,
 Measurement
 measureSweep(const Options &opts, const std::vector<u32> &sizes)
 {
+    // Wall time only: the sweep's work runs on worker threads.
     const auto start = std::chrono::steady_clock::now();
     const std::vector<StreamResult> results = cyclops::bench::sweep(
         opts, sizes, [&](u32 size) {
@@ -271,7 +302,9 @@ measureSweep(const Options &opts, const std::vector<u32> &sizes)
         });
     Measurement m;
     m.name = strprintf("stream_sweep_jobs%u", opts.jobs);
-    m.wallSeconds = secondsSince(start);
+    m.wallSeconds = std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
     for (const StreamResult &r : results) {
         m.simCycles += r.simCycles;
         m.instructions += r.instructions;
@@ -283,7 +316,8 @@ measureSweep(const Options &opts, const std::vector<u32> &sizes)
 /**
  * An on/off overhead experiment: the same workload with a feature
  * enabled vs disabled, each side measured as the median of repeated
- * runs. Used for the profiler and for host telemetry itself.
+ * runs in thread CPU time. Used for the profiler, host telemetry,
+ * fabric observability and the fault model.
  */
 struct Overhead
 {
@@ -297,8 +331,9 @@ struct Overhead
     double
     overheadPct() const
     {
-        return off.cyclesPerSec() > 0
-                   ? (1.0 - on.cyclesPerSec() / off.cyclesPerSec()) * 100
+        return off.cpuCyclesPerSec() > 0
+                   ? (1.0 - on.cpuCyclesPerSec() / off.cpuCyclesPerSec()) *
+                         100
                    : 0;
     }
 };
@@ -340,37 +375,38 @@ writeJson(const char *path, const Options &opts,
     std::fprintf(f,
                  "  \"profilerOverhead\": {\"workload\": \"%s\", "
                  "\"profInterval\": %u, \"repeats\": %u, "
+                 "\"clock\": \"thread-cpu\", "
                  "\"disabledCyclesPerSec\": %.0f, "
                  "\"enabledCyclesPerSec\": %.0f, "
                  "\"disabledCovPct\": %.2f, \"enabledCovPct\": %.2f, "
                  "\"overheadPct\": %.2f},\n",
                  overhead.off.name.c_str(), overhead.profInterval,
-                 overhead.repeats, overhead.off.cyclesPerSec(),
-                 overhead.on.cyclesPerSec(), overhead.offCovPct,
+                 overhead.repeats, overhead.off.cpuCyclesPerSec(),
+                 overhead.on.cpuCyclesPerSec(), overhead.offCovPct,
                  overhead.onCovPct, overhead.overheadPct());
     std::fprintf(f,
                  "  \"fabricObsOverhead\": {\"workload\": \"%s\", "
-                 "\"repeats\": %u, "
+                 "\"repeats\": %u, \"clock\": \"thread-cpu\", "
                  "\"disabledCyclesPerSec\": %.0f, "
                  "\"enabledCyclesPerSec\": %.0f, "
                  "\"disabledCovPct\": %.2f, \"enabledCovPct\": %.2f, "
                  "\"overheadPct\": %.2f, \"simCyclesDrift\": %lld},\n",
                  fabricOh.off.name.c_str(), fabricOh.repeats,
-                 fabricOh.off.cyclesPerSec(),
-                 fabricOh.on.cyclesPerSec(), fabricOh.offCovPct,
+                 fabricOh.off.cpuCyclesPerSec(),
+                 fabricOh.on.cpuCyclesPerSec(), fabricOh.offCovPct,
                  fabricOh.onCovPct, fabricOh.overheadPct(),
                  static_cast<long long>(s64(fabricOh.on.simCycles) -
                                         s64(fabricOh.off.simCycles)));
     std::fprintf(f,
                  "  \"fabricFaultOverhead\": {\"workload\": \"%s\", "
-                 "\"repeats\": %u, "
+                 "\"repeats\": %u, \"clock\": \"thread-cpu\", "
                  "\"disabledCyclesPerSec\": %.0f, "
                  "\"enabledCyclesPerSec\": %.0f, "
                  "\"disabledCovPct\": %.2f, \"enabledCovPct\": %.2f, "
                  "\"overheadPct\": %.2f, \"simCyclesDrift\": %lld},\n",
                  faultOh.off.name.c_str(), faultOh.repeats,
-                 faultOh.off.cyclesPerSec(),
-                 faultOh.on.cyclesPerSec(), faultOh.offCovPct,
+                 faultOh.off.cpuCyclesPerSec(),
+                 faultOh.on.cpuCyclesPerSec(), faultOh.offCovPct,
                  faultOh.onCovPct, faultOh.overheadPct(),
                  static_cast<long long>(s64(faultOh.on.simCycles) -
                                         s64(faultOh.off.simCycles)));

@@ -389,38 +389,47 @@ Chip::run(Cycle maxCycles)
     HostRunTimer hostTimer(hostObsOn_ ? &hostObs_ : nullptr);
 
     while (liveUnits_ > 0) {
-        if (sampling_)
-            sampler_.maybeSample(now_);
-        if (profiling_ && now_ >= profNext_)
-            samplePcs();
-        if (now_ >= svcNext_) {
-            // Low-frequency service point: host stop requests and the
-            // deadlock watchdog. Both are cycle-domain so results stay
-            // deterministic — only the *reaction* to a host signal
-            // depends on wall-clock time.
-            svcNext_ = now_ + kServiceInterval;
-            const int sig = gStopSignal.load(std::memory_order_relaxed);
-            if (sig != 0) {
-                RunExit e(RunExitReason::Signal, now_);
-                e.signal = sig;
-                return e;
+        // One compare per cycle: nextPoint_ is the earliest of the next
+        // stats sample, PC sample and service point, which are checked
+        // in that order once it is reached.
+        if (now_ >= nextPoint_) [[unlikely]] {
+            if (sampling_)
+                sampler_.maybeSample(now_);
+            if (profiling_ && now_ >= profNext_)
+                samplePcs();
+            const bool service = now_ >= svcNext_;
+            if (service)
+                svcNext_ = now_ + kServiceInterval;
+            nextPoint_ = nextCheckPoint();
+            if (service) {
+                // Low-frequency service point: host stop requests and
+                // the deadlock watchdog. Both are cycle-domain so
+                // results stay deterministic — only the *reaction* to
+                // a host signal depends on wall-clock time.
+                const int sig =
+                    gStopSignal.load(std::memory_order_relaxed);
+                if (sig != 0) {
+                    RunExit e(RunExitReason::Signal, now_);
+                    e.signal = sig;
+                    return e;
+                }
+                const u64 sum = progressSum();
+                if (sum != lastProgressSum_) {
+                    lastProgressSum_ = sum;
+                    lastProgressCycle_ = now_;
+                } else if (cfg_.fault.watchdogCycles != 0 &&
+                           now_ - lastProgressCycle_ >=
+                               cfg_.fault.watchdogCycles) {
+                    RunExit e(RunExitReason::Watchdog, now_);
+                    e.diagnostic = watchdogDump();
+                    return e;
+                }
+                // Host telemetry rides the same low-frequency service
+                // point: it reads wall clocks only, so the flush
+                // cadence cannot perturb simulated timing.
+                if (hostObsOn_)
+                    hostObs_.serviceFlush(now_);
             }
-            const u64 sum = progressSum();
-            if (sum != lastProgressSum_) {
-                lastProgressSum_ = sum;
-                lastProgressCycle_ = now_;
-            } else if (cfg_.fault.watchdogCycles != 0 &&
-                       now_ - lastProgressCycle_ >=
-                           cfg_.fault.watchdogCycles) {
-                RunExit e(RunExitReason::Watchdog, now_);
-                e.diagnostic = watchdogDump();
-                return e;
-            }
-            // Host telemetry rides the same low-frequency service
-            // point: it reads wall clocks only, so the flush cadence
-            // cannot perturb simulated timing.
-            if (hostObsOn_)
-                hostObs_.serviceFlush(now_);
         }
         if (now_ >= limit)
             return {RunExitReason::CycleLimit, now_};
@@ -498,6 +507,17 @@ Chip::run(Cycle maxCycles)
         ++now_;
     }
     return {RunExitReason::AllHalted, now_};
+}
+
+Cycle
+Chip::nextCheckPoint() const
+{
+    Cycle next = svcNext_;
+    if (sampling_)
+        next = std::min(next, sampler_.nextSampleAt());
+    if (profiling_)
+        next = std::min(next, profNext_);
+    return next;
 }
 
 // Take the PC samples due at or before now_. The cycle engine only

@@ -397,6 +397,7 @@ class Chip
     [[noreturn]] void pcOutsideText(PhysAddr pc) const;
 
     void samplePcs();
+    Cycle nextCheckPoint() const;
     void applyFaultMap();
     void recomputeAlive();
     u64 progressSum() const;
@@ -441,6 +442,11 @@ class Chip
     Cycle svcNext_ = kServiceInterval;
     u64 lastProgressSum_ = 0;
     Cycle lastProgressCycle_ = 0;
+
+    // Earliest of the next stats sample, PC sample and service point:
+    // run() checks the three only once now_ reaches it. 0 makes the
+    // first cycle of a run check all three and compute it.
+    Cycle nextPoint_ = 0;
 
     // Cycle engine: now+1 ready list, timing wheel and far-future heap.
     // Most wakes are for the next cycle; they bypass the wheel in

@@ -217,9 +217,9 @@ System::remoteAccess(u32 srcChip, ThreadId tid, Cycle now, Addr ea,
             // the fault campaigns classify as SDC.
             value ^= u64(1) << (seq_ % (u64(s.bytes) * 8));
         }
-        pending_.push({d.delivered, seq_++, dst,
-                       windowBase_ + remoteOffsetOf(ea), s.bytes,
-                       value});
+        ++seq_;
+        pending_.push(d.delivered, {dst, windowBase_ + remoteOffsetOf(ea),
+                                    s.bytes, value});
         s.valid = false;
         // Posted store: the thread resumes when the injection port
         // drains, so sustained stores are paced to the link bandwidth
@@ -310,11 +310,9 @@ System::applyDeliveries(Cycle upTo)
     // Total (delivered, seq) order: a flag stored after its payload on
     // the same path has a later delivery cycle (per-link FIFO), so it
     // is applied after — the cross-chip ordering guests rely on.
-    while (!pending_.empty() && pending_.top().delivered <= upTo) {
-        const PendingStore &p = pending_.top();
+    pending_.drain(upTo, [this](const PendingStore &p) {
         chips_[p.dstChip]->writePhys(p.pa, &p.value, p.bytes);
-        pending_.pop();
-    }
+    });
     fabric_.advance(upTo);
 }
 

@@ -43,11 +43,11 @@
 
 #include <deque>
 #include <memory>
-#include <queue>
 #include <string>
 #include <vector>
 
 #include "arch/chip.h"
+#include "common/calendar.h"
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "net/fabric.h"
@@ -170,20 +170,10 @@ class System : private RemotePort
     /** A store accepted by the fabric, awaiting its delivery cycle. */
     struct PendingStore
     {
-        Cycle delivered = 0;
-        u64 seq = 0; ///< injection sequence: total order tie-breaker
         u32 dstChip = 0;
         PhysAddr pa = 0;
         u8 bytes = 0;
         u64 value = 0;
-
-        bool
-        operator>(const PendingStore &o) const
-        {
-            if (delivered != o.delivered)
-                return delivered > o.delivered;
-            return seq > o.seq;
-        }
     };
 
     /** Store staged by remoteWrite, consumed by the remoteAccess. */
@@ -203,11 +193,14 @@ class System : private RemotePort
     std::vector<std::unique_ptr<Chip>> chips_;
     PhysAddr windowBase_ = 0;
     Cycle now_ = 0;
-    u64 seq_ = 0;
+    u64 seq_ = 0; ///< stores injected so far (selects the SDC bit)
     std::vector<StagedStore> staged_; ///< one slot per (chip, thread)
-    std::priority_queue<PendingStore, std::vector<PendingStore>,
-                        std::greater<PendingStore>>
-        pending_;
+
+    // Stores by delivery cycle, applied in (delivery cycle, injection
+    // order). A store is delivered at least one hop after its inject
+    // cycle, which is at or past the last epoch boundary, so it is
+    // never pushed before the calendar's base (a push there panics).
+    Calendar<PendingStore> pending_;
 
     // First abandoned remote access: run() turns this into a
     // structured RunExit::FabricFailure at the next epoch boundary.

@@ -166,6 +166,35 @@ class Tracer
         record({at, 0, name, id, tid, static_cast<u8>(cat), 'f'});
     }
 
+    /**
+     * Batch recording for a hot caller that has already tested on()
+     * and knows it will record @p n events: returns where to write
+     * them in place, with one ring-wrap test for the batch. Returns
+     * nullptr when the batch would reach the end of the ring; the
+     * caller then builds the events elsewhere and hands them to
+     * record(ev, n). Either way the ring ends up as after @p n single
+     * calls, in the same order.
+     */
+    Event *
+    claim(size_t n)
+    {
+        if (next_ + n >= ring_.size())
+            return nullptr;
+        Event *slot = ring_.data() + next_;
+        next_ += n;
+        if (filled_)
+            dropped_ += n;
+        return slot;
+    }
+
+    /** Record @p n prebuilt events one by one (claim()'s fallback). */
+    void
+    record(const Event *ev, size_t n)
+    {
+        for (size_t i = 0; i < n; ++i)
+            record(ev[i]);
+    }
+
     /** Number of events currently retained (<= capacity). */
     size_t size() const { return filled_ ? ring_.size() : next_; }
 

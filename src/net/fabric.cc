@@ -80,6 +80,9 @@ Fabric::Fabric(const FabricConfig &cfg) : cfg_(cfg), topo_(cfg.net)
     pairFlits_.assign(size_t(chips) * chips, 0);
     pairLinkFlits_.assign(size_t(chips) * chips, 0);
     pairInOrder_.assign(size_t(chips) * chips, 0);
+    routeCache_.assign(size_t(chips) * chips, {});
+    routeKnown_.assign(size_t(chips) * chips, 0);
+    pairRerouted_.assign(size_t(chips) * chips, 0);
     stats_.addCounter("fabric.messages", &messages_);
     stats_.addCounter("fabric.bytes", &bytesMoved_);
     stats_.addCounter("fabric.queueCycles", &queueCycles_);
@@ -150,6 +153,10 @@ Fabric::registerLinkStats()
                             [this, idx] { return links_[idx].occPeak; });
         }
     }
+    // Pointers into occTrackNames_, taken once it stops growing: the
+    // tracer keeps event names by pointer.
+    for (const std::string &n : occTrackNames_)
+        occTrackName_.push_back(n.c_str());
 }
 
 u32
@@ -201,10 +208,11 @@ Fabric::applyFaultMap()
 }
 
 /**
- * Route for a pair under the active fault map, cached: the DOR path
- * when it crosses no dead link, else the relaxed-dimension-order
- * minimal path, else the breadth-first detour. An empty cached path
- * means the destination is unreachable (partition).
+ * Route every message of a pair takes, cached on first use: the DOR
+ * path when the fabric is healthy or the path crosses no dead link,
+ * else the relaxed-dimension-order minimal path, else the breadth-
+ * first detour. An empty cached path means the destination is
+ * unreachable (partition).
  */
 const std::vector<std::pair<u32, Dir>> &
 Fabric::routeFor(u32 src, u32 dst)
@@ -213,13 +221,11 @@ Fabric::routeFor(u32 src, u32 dst)
     if (!routeKnown_[pi]) {
         routeKnown_[pi] = 1;
         auto dor = topo_.route(src, dst);
-        bool blocked = false;
-        for (const auto &[chip, dir] : dor) {
-            if (deadLink_[linkIndex(chip, dir)]) {
-                blocked = true;
-                break;
-            }
-        }
+        const bool blocked =
+            faultsActive_ &&
+            std::any_of(dor.begin(), dor.end(), [&](const auto &hop) {
+                return deadLink_[linkIndex(hop.first, hop.second)];
+            });
         if (!blocked) {
             routeCache_[pi] = std::move(dor);
         } else {
@@ -339,17 +345,27 @@ Fabric::transmit(Cycle start,
                 }
             }
             if (tracing) {
-                tracer_->complete(TraceCat::Net, link.track, "pkt",
-                                  xmit, occupancy, flow);
-                tracer_->counter(TraceCat::Net, link.track,
-                                 occTrackNames_[link.track].c_str(),
-                                 xmit, stall + occupancy);
-                if (firstPacket && firstLink)
-                    tracer_->flowBegin(TraceCat::Net, link.track,
-                                       "msg", xmit, flow);
-                if (remaining == packet && hop + 1 == path.size())
-                    tracer_->flowEnd(TraceCat::Net, link.track, "msg",
-                                     freeAt, flow);
+                // The packet slice, the link's occupancy counter and
+                // the message's flow ends, written straight into the
+                // ring with one wrap test per hop.
+                constexpr u8 net = u8(TraceCat::Net);
+                const bool begins = firstPacket && firstLink;
+                const bool ends =
+                    remaining == packet && hop + 1 == path.size();
+                const size_t n = 2 + size_t(begins) + size_t(ends);
+                Tracer::Event spill[4];
+                Tracer::Event *ev = tracer_->claim(n);
+                Tracer::Event *out = ev ? ev : spill;
+                *out++ = {xmit, occupancy, "pkt", flow, link.track, net,
+                          'X'};
+                *out++ = {xmit, 0, occTrackName_[link.track],
+                          stall + occupancy, link.track, net, 'C'};
+                if (begins)
+                    *out++ = {xmit, 0, "msg", flow, link.track, net, 's'};
+                if (ends)
+                    *out = {freeAt, 0, "msg", flow, link.track, net, 'f'};
+                if (!ev)
+                    tracer_->record(spill, n);
             }
 
             if (firstLink) {
@@ -385,19 +401,11 @@ Fabric::inject(Cycle now, u32 src, u32 dst, u32 bytes)
     pairBytes_[pi] += bytes;
 
     const u64 flow = msgSeq_++;
-    const std::vector<std::pair<u32, Dir>> *path = nullptr;
-    std::vector<std::pair<u32, Dir>> dorPath;
-    if (faultsActive_) {
-        const auto &cached = routeFor(src, dst);
-        if (cached.empty())
-            return injectUnroutable(now, src, dst);
-        if (pairRerouted_[pi])
-            ++rerouted_;
-        path = &cached;
-    } else {
-        dorPath = topo_.route(src, dst);
-        path = &dorPath;
-    }
+    const std::vector<std::pair<u32, Dir>> &path = routeFor(src, dst);
+    if (path.empty())
+        return injectUnroutable(now, src, dst);
+    if (pairRerouted_[pi])
+        ++rerouted_;
 
     const Cycle perHop = cfg_.net.routerLatency + cfg_.net.linkLatency;
     Delivery d{now, now};
@@ -408,14 +416,14 @@ Fabric::inject(Cycle now, u32 src, u32 dst, u32 bytes)
         bool escaped = false;
         Cycle accepted = attemptStart;
         Cycle delivered = attemptStart;
-        const u64 flits = transmit(attemptStart, *path, bytes, flow,
+        const u64 flits = transmit(attemptStart, path, bytes, flow,
                                    &accepted, &delivered, &corrupt,
                                    &escaped);
         flitsInjected_ += flits;
         flitsInjectedStat_ += flits;
         flitsInFlight_ += flits;
         pairFlits_[pi] += flits;
-        pairLinkFlits_[pi] += flits * path->size();
+        pairLinkFlits_[pi] += flits * path.size();
         if (attempt == 0)
             d.accepted = accepted;
         d.retries = attempt;
@@ -428,7 +436,7 @@ Fabric::inject(Cycle now, u32 src, u32 dst, u32 bytes)
             if (faultsActive_)
                 delivered = std::max(delivered, pairInOrder_[pi]);
             pairInOrder_[pi] = std::max(pairInOrder_[pi], delivered);
-            inflight_.push({delivered, flits, false});
+            retireAt(delivered, {flits, false});
             d.delivered = delivered;
             d.corrupted = corrupt && escaped;
             break;
@@ -436,7 +444,7 @@ Fabric::inject(Cycle now, u32 src, u32 dst, u32 bytes)
         // The checksum caught the corruption: the receiver NACKs and
         // the whole attempt's flits retire into the dropped ledger.
         ++crcErrors_;
-        inflight_.push({delivered, flits, true});
+        retireAt(delivered, {flits, true});
         if (attempt >= cfg_.maxRetries) {
             d.ok = false;
             d.delivered = delivered;
@@ -446,12 +454,14 @@ Fabric::inject(Cycle now, u32 src, u32 dst, u32 bytes)
         ++retries_;
         // NACK flight time back to the sender (uncontended control
         // channel), then exponential backoff before the retransmit.
-        const Cycle nack = delivered + Cycle(path->size()) * perHop + 1;
+        const Cycle nack = delivered + Cycle(path.size()) * perHop + 1;
         attemptStart = nack + backoff(attempt);
         ++attempt;
     }
 
     if (d.ok) {
+        // The wire part is the DOR zero-load latency even when the
+        // pair detours: the detour's extra hops count as queueing.
         latencyTotal_.sample(d.delivered - now);
         const Cycle wire = topo_.uncontendedLatency(src, dst, bytes);
         latencyWire_.sample(wire);
@@ -465,9 +475,7 @@ Fabric::advance(Cycle at)
 {
     if (faultsArmed_ && at != kCycleNever && at >= cfg_.faults.atCycle)
         applyFaultMap();
-    while (!inflight_.empty() && inflight_.top().at <= at) {
-        const Flight f = inflight_.top();
-        inflight_.pop();
+    inflight_.drain(at, [this](const Flight &f) {
         flitsInFlight_ -= f.flits;
         if (f.dropped) {
             flitsDropped_ += f.flits;
@@ -476,12 +484,18 @@ Fabric::advance(Cycle at)
             flitsDelivered_ += f.flits;
             flitsDeliveredStat_ += f.flits;
         }
-    }
+    });
     // Anchor for the occupancy gauges: backlog is whatever work each
     // link still holds beyond the cycle the system has advanced to.
     if (at != kCycleNever)
         lastAdvance_ = std::max(lastAdvance_, at);
     checkConservation(at);
+}
+
+void
+Fabric::retireAt(Cycle at, const Flight &flight)
+{
+    inflight_.push(std::max(at, inflight_.base()), flight);
 }
 
 void

@@ -30,8 +30,8 @@
  * detour; an end-to-end retry layer (checksum + NACK + retransmit
  * with exponential backoff) re-sends corrupted packets. Both are pure
  * functions of (topology, fault map, injection sequence), so degraded
- * runs remain bit-reproducible. When the map is empty every code path
- * and cycle of the fault-free fabric is unchanged (bench_simperf pins
+ * runs remain bit-reproducible. When the map is empty every cycle of
+ * the fault-free fabric is unchanged (bench_simperf pins
  * simCyclesDrift == 0).
  *
  * Observability (DESIGN.md section 17): every directed link that
@@ -50,10 +50,10 @@
 #ifndef CYCLOPS_NET_FABRIC_H
 #define CYCLOPS_NET_FABRIC_H
 
-#include <queue>
 #include <string>
 #include <vector>
 
+#include "common/calendar.h"
 #include "common/stats.h"
 #include "common/trace.h"
 #include "common/types.h"
@@ -307,19 +307,19 @@ class Fabric
     Topology topo_;
     std::vector<Cycle> linkFree_; ///< chip x direction reservation
 
-    // Min-heap of in-flight transmissions for advance()/drain().
-    // Dropped attempts (corrupted, NACKed) stay in flight until their
-    // traversal completes, then retire into the dropped ledger.
+    // In-flight transmissions by completion cycle, for advance()/
+    // drain(). Dropped attempts (corrupted, NACKed) stay in flight
+    // until their traversal completes, then retire into the dropped
+    // ledger. retireAt files a flight completing before the
+    // calendar's base (an inject behind an earlier advance) at the
+    // base, so the next advance retires it.
     struct Flight
     {
-        Cycle at = 0;
         u64 flits = 0;
         bool dropped = false;
-        bool operator>(const Flight &o) const { return at > o.at; }
     };
-    std::priority_queue<Flight, std::vector<Flight>,
-                        std::greater<Flight>>
-        inflight_;
+    void retireAt(Cycle at, const Flight &flight);
+    Calendar<Flight> inflight_;
     u64 flitsInjected_ = 0;
     u64 flitsDelivered_ = 0;
     u64 flitsInFlight_ = 0;
@@ -330,13 +330,14 @@ class Fabric
     u32 numLinks_ = 0;
     std::vector<std::string> trackNames_;   ///< by Link::track
     std::vector<std::string> occTrackNames_; ///< counter-track names
+    std::vector<const char *> occTrackName_; ///< their c_str(), by track
     std::vector<u64> pairMessages_;
     std::vector<u64> pairBytes_;
     std::vector<u64> pairFlits_;
     std::vector<u64> pairLinkFlits_; ///< attempts x hops, per pair
 
     // Fault state, all indexed by linkIndex(chip, dir). Inactive
-    // (faultsActive_ == false) leaves the hot inject path untouched.
+    // (faultsActive_ == false) skips every per-link fault lookup.
     bool faultsActive_ = false;
     bool faultsArmed_ = false; ///< mid-run map waiting for atCycle
     std::vector<bool> deadLink_;
@@ -345,8 +346,11 @@ class Fabric
     std::vector<u32> derate_;
     std::vector<u64> linkPktSeq_; ///< per-link corruption-draw stream
 
-    // Route cache: pure function of (topology, fault map), rebuilt on
-    // fault application. An empty cached path means unreachable.
+    // Route cache, by pairIndex: the path every message of a pair
+    // takes, filled lazily on the pair's first message and rebuilt on
+    // fault application. A pure function of (topology, fault map):
+    // the DOR path on a healthy fabric. An empty cached path means
+    // unreachable.
     std::vector<std::vector<std::pair<u32, Dir>>> routeCache_;
     std::vector<u8> routeKnown_;
     std::vector<u8> pairRerouted_;

@@ -90,7 +90,20 @@ Topology::route(u32 src, u32 dst) const
 u32
 Topology::hops(u32 src, u32 dst) const
 {
-    return u32(route(src, dst).size());
+    if (src >= cfg_.numChips() || dst >= cfg_.numChips())
+        fatal("route endpoints outside the system");
+    // Closed form of route(src, dst).size(): per axis, the line
+    // distance on a mesh, the shorter way around on a torus.
+    const Coord a = coordOf(src);
+    const Coord b = coordOf(dst);
+    auto axis = [&](u32 from, u32 to, u32 dim) {
+        const u32 forward = (to + dim - from) % dim;
+        if (cfg_.torus)
+            return std::min(forward, dim - forward);
+        return from > to ? from - to : to - from;
+    };
+    return axis(a.x, b.x, cfg_.dimX) + axis(a.y, b.y, cfg_.dimY) +
+           axis(a.z, b.z, cfg_.dimZ);
 }
 
 u32

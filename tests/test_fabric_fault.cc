@@ -391,3 +391,94 @@ TEST(FabricFault, WatchdogAttributesRetryStorm)
     EXPECT_NE(r.exitDiagnostic.find("retry storm"), std::string::npos);
     EXPECT_GT(r.retransmits, 0u);
 }
+
+namespace
+{
+
+/** Fingerprint, cycles and fabric counters of one pinned run. */
+struct Pinned
+{
+    u64 fingerprint;
+    Cycle cycles;
+    u64 messages;
+    u64 queueCycles;
+    u64 flitsInjected;
+    u64 flitsDropped;
+    u64 retransmits;
+};
+
+void
+expectPinned(const MultiChipResult &r, const Pinned &p, const char *what)
+{
+    EXPECT_TRUE(r.verified) << what;
+    EXPECT_EQ(r.exitReason, arch::RunExitReason::AllHalted) << what;
+    EXPECT_EQ(r.fingerprint, p.fingerprint) << what;
+    EXPECT_EQ(r.cycles, p.cycles) << what;
+    EXPECT_EQ(r.messages, p.messages) << what;
+    EXPECT_EQ(r.queueCycles, p.queueCycles) << what;
+    EXPECT_EQ(r.flitsInjected, p.flitsInjected) << what;
+    EXPECT_EQ(r.flitsDropped, p.flitsDropped) << what;
+    EXPECT_EQ(r.retransmits, p.retransmits) << what;
+    EXPECT_EQ(r.crcErrors, r.retransmits) << what;
+    EXPECT_EQ(r.flitsInFlight, 0u) << what;
+}
+
+} // namespace
+
+TEST(FabricFault, DeliveryOrderPinnedAcrossShapesAndFaults)
+{
+    // Literals recorded from the binary-heap delivery queues that the
+    // calendars (common/calendar.h) replaced: the halo exchange and
+    // distributed STREAM must land byte-identically, fabric counters
+    // included. The set-ups cover both calendar paths: deliveries due
+    // within the 1024-cycle window (ring buckets) and beyond it
+    // (overflow heap) — the 2x2x2 startup burst, the flaky link's
+    // 600-cycle retry backoff and the derated link all push there.
+    struct Setup
+    {
+        const char *what;
+        u32 x, y, z;
+        bool torus;
+        std::vector<LinkFault> faults;
+        Cycle retryBackoff;
+        Pinned halo;
+        Pinned stream;
+    };
+    LinkFault derated;
+    derated.src = 0;
+    derated.dst = 1;
+    derated.kind = LinkFaultKind::Derated;
+    derated.derate = 4;
+    const Setup setups[] = {
+        {"2x2x2 torus", 2, 2, 2, true, {}, 0,
+         {0x21060355ce5e33feull, 5858, 6240, 1006616, 49920, 0, 0},
+         {0xb0c52472fb5c7f4eull, 1115, 1024, 161792, 6144, 0, 0}},
+        {"4x2x1 mesh", 4, 2, 1, false, {}, 0,
+         {0x95838f329d3798acull, 2540, 2600, 328804, 20800, 0, 0},
+         {0x701abe8af4a38818ull, 576, 768, 43296, 4608, 0, 0}},
+        {"4x4x1 torus, 50% flaky 5->6", 4, 4, 1, true,
+         {flakyLink(5, 6, 500'000)}, 600,
+         {0xbd6502178d94b702ull, 470395, 8320, 6393392, 67488, 928, 116},
+         {0x04cfdce6e0b37955ull, 188904, 2048, 2248659, 12496, 208, 52}},
+        {"2x2x1 torus, derated 0->1", 2, 2, 1, true, {derated}, 0,
+         {0x3e5fde2852023a4cull, 9103, 2080, 541684, 16640, 0, 0},
+         {0x2f9c67f3e1d49029ull, 3171, 512, 157440, 3072, 0, 0}},
+    };
+    for (const Setup &s : setups) {
+        MultiChipConfig mc;
+        mc.dimX = s.x;
+        mc.dimY = s.y;
+        mc.dimZ = s.z;
+        mc.torus = s.torus;
+        mc.words = 64;
+        mc.iters = 2;
+        if (s.x * s.y * s.z == 16)
+            mc.threads = 4;
+        mc.faults.links = s.faults;
+        mc.faults.seed = 7;
+        mc.fabricRetryBackoff = s.retryBackoff;
+        expectPinned(workloads::runHaloExchange(mc), s.halo, s.what);
+        expectPinned(workloads::runDistributedStream(mc), s.stream,
+                     s.what);
+    }
+}

@@ -216,3 +216,33 @@ TEST(Net, DegenerateOneWideDimensionsNeverRoute)
     EXPECT_EQ(fabric.hops(0, 3), 2u);
     EXPECT_EQ(fabric.route(0, 3)[0].second, Dir::ZMinus);
 }
+
+TEST(Net, HopsClosedFormMatchesRouteLengthExhaustively)
+{
+    // hops() is computed per axis without building the route; it must
+    // equal the DOR route's length for every pair of every torus and
+    // mesh shape with axis extents 1-5.
+    for (bool torus : {false, true}) {
+        for (u32 x = 1; x <= 5; ++x) {
+            for (u32 y = 1; y <= 5; ++y) {
+                for (u32 z = 1; z <= 5; ++z) {
+                    NetConfig cfg;
+                    cfg.dimX = x;
+                    cfg.dimY = y;
+                    cfg.dimZ = z;
+                    cfg.torus = torus;
+                    const Topology fabric(cfg);
+                    for (u32 s = 0; s < cfg.numChips(); ++s) {
+                        for (u32 d = 0; d < cfg.numChips(); ++d) {
+                            ASSERT_EQ(fabric.hops(s, d),
+                                      fabric.route(s, d).size())
+                                << x << "x" << y << "x" << z
+                                << (torus ? " torus " : " mesh ") << s
+                                << "->" << d;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
