@@ -338,6 +338,51 @@ struct Overhead
     }
 };
 
+/**
+ * Run one on/off overhead experiment of @p repeats interleaved pairs,
+ * warn if enabling the feature (@p what) moved a simulated cycle, and
+ * append both median rows to @p ms.
+ */
+template <typename FnOff, typename FnOn>
+Overhead
+runOverhead(std::vector<Measurement> &ms, u32 repeats, const char *what,
+            FnOff fnOff, FnOn fnOn)
+{
+    const auto [off, on] = repeatMedianPair(repeats, fnOff, fnOn);
+    Overhead oh;
+    oh.repeats = repeats;
+    oh.off = off.m;
+    oh.on = on.m;
+    oh.offCovPct = off.covPct;
+    oh.onCovPct = on.covPct;
+    if (oh.on.simCycles != oh.off.simCycles)
+        warn("simperf: %s changed simulated timing (%llu != %llu "
+             "cycles)",
+             what, static_cast<unsigned long long>(oh.on.simCycles),
+             static_cast<unsigned long long>(oh.off.simCycles));
+    ms.push_back(oh.off);
+    ms.push_back(oh.on);
+    return oh;
+}
+
+/** One fabric A/B section ("fabricObsOverhead", "fabricFaultOverhead"). */
+void
+writeFabricOverheadJson(std::FILE *f, const char *key, const Overhead &oh)
+{
+    std::fprintf(f,
+                 "  \"%s\": {\"workload\": \"%s\", "
+                 "\"repeats\": %u, \"clock\": \"thread-cpu\", "
+                 "\"disabledCyclesPerSec\": %.0f, "
+                 "\"enabledCyclesPerSec\": %.0f, "
+                 "\"disabledCovPct\": %.2f, \"enabledCovPct\": %.2f, "
+                 "\"overheadPct\": %.2f, \"simCyclesDrift\": %lld},\n",
+                 key, oh.off.name.c_str(), oh.repeats,
+                 oh.off.cpuCyclesPerSec(), oh.on.cpuCyclesPerSec(),
+                 oh.offCovPct, oh.onCovPct, oh.overheadPct(),
+                 static_cast<long long>(s64(oh.on.simCycles) -
+                                        s64(oh.off.simCycles)));
+}
+
 /** The "hostObs" JSON section: host-telemetry overhead and peak RSS. */
 void
 writeHostObsJson(std::FILE *f, const Overhead &hostOh)
@@ -384,32 +429,8 @@ writeJson(const char *path, const Options &opts,
                  overhead.repeats, overhead.off.cpuCyclesPerSec(),
                  overhead.on.cpuCyclesPerSec(), overhead.offCovPct,
                  overhead.onCovPct, overhead.overheadPct());
-    std::fprintf(f,
-                 "  \"fabricObsOverhead\": {\"workload\": \"%s\", "
-                 "\"repeats\": %u, \"clock\": \"thread-cpu\", "
-                 "\"disabledCyclesPerSec\": %.0f, "
-                 "\"enabledCyclesPerSec\": %.0f, "
-                 "\"disabledCovPct\": %.2f, \"enabledCovPct\": %.2f, "
-                 "\"overheadPct\": %.2f, \"simCyclesDrift\": %lld},\n",
-                 fabricOh.off.name.c_str(), fabricOh.repeats,
-                 fabricOh.off.cpuCyclesPerSec(),
-                 fabricOh.on.cpuCyclesPerSec(), fabricOh.offCovPct,
-                 fabricOh.onCovPct, fabricOh.overheadPct(),
-                 static_cast<long long>(s64(fabricOh.on.simCycles) -
-                                        s64(fabricOh.off.simCycles)));
-    std::fprintf(f,
-                 "  \"fabricFaultOverhead\": {\"workload\": \"%s\", "
-                 "\"repeats\": %u, \"clock\": \"thread-cpu\", "
-                 "\"disabledCyclesPerSec\": %.0f, "
-                 "\"enabledCyclesPerSec\": %.0f, "
-                 "\"disabledCovPct\": %.2f, \"enabledCovPct\": %.2f, "
-                 "\"overheadPct\": %.2f, \"simCyclesDrift\": %lld},\n",
-                 faultOh.off.name.c_str(), faultOh.repeats,
-                 faultOh.off.cpuCyclesPerSec(),
-                 faultOh.on.cpuCyclesPerSec(), faultOh.offCovPct,
-                 faultOh.onCovPct, faultOh.overheadPct(),
-                 static_cast<long long>(s64(faultOh.on.simCycles) -
-                                        s64(faultOh.off.simCycles)));
+    writeFabricOverheadJson(f, "fabricObsOverhead", fabricOh);
+    writeFabricOverheadJson(f, "fabricFaultOverhead", faultOh);
     writeHostObsJson(f, hostOh);
     std::fprintf(f, "  \"workloads\": [\n");
     for (size_t i = 0; i < measurements.size(); ++i) {
@@ -487,141 +508,79 @@ main(int argc, char **argv)
     }
 
     // Profiler overhead: the same workload with PC sampling enabled
-    // (no file output) vs disabled. The simulated cycle counts must
-    // match exactly — the profiler never changes simulated timing.
-    // Each side is the median of kRepeats runs: a single wall-clock
-    // pair regularly reported a *negative* overhead on a loaded host.
+    // (no file output) vs disabled. Each side is the median of
+    // kRepeats runs: a single wall-clock pair regularly reported a
+    // *negative* overhead on a loaded host.
     constexpr u32 kRepeats = 5;
-    Overhead overhead;
-    overhead.profInterval = 256;
-    overhead.repeats = kRepeats;
+    constexpr u32 kProfInterval = 256;
     const u32 ohEpt = opts.quick ? 500 : 2000;
-    {
-        const auto [off, on] = repeatMedianPair(
-            kRepeats,
-            [&] {
-                return measureStream("stream_triad_profoff",
-                                     StreamKernel::Triad, 126, ohEpt);
-            },
-            [&] {
-                return measureStream("stream_triad_profon",
-                                     StreamKernel::Triad, 126, ohEpt,
-                                     overhead.profInterval);
-            });
-        overhead.off = off.m;
-        overhead.on = on.m;
-        overhead.offCovPct = off.covPct;
-        overhead.onCovPct = on.covPct;
-    }
-    if (overhead.on.simCycles != overhead.off.simCycles)
-        warn("simperf: profiler changed simulated timing (%llu != "
-             "%llu cycles)",
-             static_cast<unsigned long long>(overhead.on.simCycles),
-             static_cast<unsigned long long>(overhead.off.simCycles));
-    ms.push_back(overhead.off);
-    ms.push_back(overhead.on);
+    Overhead overhead = runOverhead(
+        ms, kRepeats, "profiler",
+        [&] {
+            return measureStream("stream_triad_profoff",
+                                 StreamKernel::Triad, 126, ohEpt);
+        },
+        [&] {
+            return measureStream("stream_triad_profon",
+                                 StreamKernel::Triad, 126, ohEpt,
+                                 kProfInterval);
+        });
+    overhead.profInterval = kProfInterval;
 
     // Host-telemetry overhead, measured the same way: hostObs on vs
-    // off must track within ~1% and must not change simulated cycles
-    // at all.
-    Overhead hostOh;
-    hostOh.repeats = kRepeats;
-    {
-        const auto [off, on] = repeatMedianPair(
-            kRepeats,
-            [&] {
-                return measureStream("stream_triad_hostobs_off",
-                                     StreamKernel::Triad, 126, ohEpt);
-            },
-            [&] {
-                return measureStream("stream_triad_hostobs_on",
-                                     StreamKernel::Triad, 126, ohEpt, 0,
-                                     true);
-            });
-        hostOh.off = off.m;
-        hostOh.on = on.m;
-        hostOh.offCovPct = off.covPct;
-        hostOh.onCovPct = on.covPct;
-    }
-    if (hostOh.on.simCycles != hostOh.off.simCycles)
-        warn("simperf: host telemetry changed simulated timing "
-             "(%llu != %llu cycles)",
-             static_cast<unsigned long long>(hostOh.on.simCycles),
-             static_cast<unsigned long long>(hostOh.off.simCycles));
-    ms.push_back(hostOh.off);
-    ms.push_back(hostOh.on);
+    // off must track within ~1%.
+    const Overhead hostOh = runOverhead(
+        ms, kRepeats, "host telemetry",
+        [&] {
+            return measureStream("stream_triad_hostobs_off",
+                                 StreamKernel::Triad, 126, ohEpt);
+        },
+        [&] {
+            return measureStream("stream_triad_hostobs_on",
+                                 StreamKernel::Triad, 126, ohEpt, 0, true);
+        });
 
-    // Fabric-observability overhead: the multi-chip halo exchange with
-    // the per-link epoch sampler and net-category tracer enabled (no
-    // file output) vs fully off. The simCyclesDrift field in the JSON
-    // must be exactly zero — fabric telemetry never moves a simulated
-    // cycle (tools/check_simperf.py enforces it).
-    Overhead fabricOh;
-    fabricOh.repeats = kRepeats;
-    {
-        // Big enough that each run is ~100ms: at single-digit
-        // millisecond run lengths the pair measurement is dominated
-        // by host scheduling noise, not by collection cost.
-        const u32 fw = opts.quick ? 256 : 512;
-        const u32 fi = 32;
-        const auto [off, on] = repeatMedianPair(
-            kRepeats,
-            [&] {
-                return measureMultiChip("multichip_fabricobs_off", 2, 2,
-                                        1, fw, fi);
-            },
-            [&] {
-                return measureMultiChip("multichip_fabricobs_on", 2, 2,
-                                        1, fw, fi, true);
-            });
-        fabricOh.off = off.m;
-        fabricOh.on = on.m;
-        fabricOh.offCovPct = off.covPct;
-        fabricOh.onCovPct = on.covPct;
-    }
-    if (fabricOh.on.simCycles != fabricOh.off.simCycles)
-        warn("simperf: fabric observability changed simulated timing "
-             "(%llu != %llu cycles)",
-             static_cast<unsigned long long>(fabricOh.on.simCycles),
-             static_cast<unsigned long long>(fabricOh.off.simCycles));
-    ms.push_back(fabricOh.off);
-    ms.push_back(fabricOh.on);
+    // The two fabric experiments run the multi-chip halo exchange big
+    // enough that each run is ~100ms: at single-digit millisecond run
+    // lengths the pair measurement is dominated by host scheduling
+    // noise, not by collection cost.
+    const u32 fw = opts.quick ? 256 : 512;
+    const u32 fi = 32;
 
-    // Fault-model overhead: the same halo exchange with the fault
-    // model armed by a benign map (one flaky link at ppm = 0) vs the
-    // healthy fast path. The benign map routes every message over its
-    // healthy path and never draws a corruption, so simCyclesDrift
-    // must be exactly zero — arming the model is a host-cost-only
-    // change (tools/check_simperf.py enforces it).
-    Overhead fabricFaultOh;
-    fabricFaultOh.repeats = kRepeats;
-    {
-        const u32 fw = opts.quick ? 256 : 512;
-        const u32 fi = 32;
-        const auto [off, on] = repeatMedianPair(
-            kRepeats,
-            [&] {
-                return measureMultiChip("multichip_fault_off", 2, 2, 1,
-                                        fw, fi);
-            },
-            [&] {
-                return measureMultiChip("multichip_fault_armed", 2, 2,
-                                        1, fw, fi, false, true);
-            });
-        fabricFaultOh.off = off.m;
-        fabricFaultOh.on = on.m;
-        fabricFaultOh.offCovPct = off.covPct;
-        fabricFaultOh.onCovPct = on.covPct;
-    }
-    if (fabricFaultOh.on.simCycles != fabricFaultOh.off.simCycles)
-        warn("simperf: benign fault map changed simulated timing "
-             "(%llu != %llu cycles)",
-             static_cast<unsigned long long>(
-                 fabricFaultOh.on.simCycles),
-             static_cast<unsigned long long>(
-                 fabricFaultOh.off.simCycles));
-    ms.push_back(fabricFaultOh.off);
-    ms.push_back(fabricFaultOh.on);
+    // Fabric-observability overhead: the per-link epoch sampler and
+    // net-category tracer enabled (no file output) vs fully off. The
+    // simCyclesDrift field in the JSON must be exactly zero — fabric
+    // telemetry never moves a simulated cycle (FabricObs.
+    // ObservabilityDoesNotChangeTiming pins it; check_simperf.py
+    // gates the drift this run measured).
+    const Overhead fabricOh = runOverhead(
+        ms, kRepeats, "fabric observability",
+        [&] {
+            return measureMultiChip("multichip_fabricobs_off", 2, 2, 1,
+                                    fw, fi);
+        },
+        [&] {
+            return measureMultiChip("multichip_fabricobs_on", 2, 2, 1,
+                                    fw, fi, true);
+        });
+
+    // Fault-model overhead: the fault model armed by a benign map (one
+    // flaky link at ppm = 0) vs the healthy fast path. The benign map
+    // routes every message over its healthy path and never draws a
+    // corruption, so simCyclesDrift must be exactly zero — arming the
+    // model is a host-cost-only change (FabricFault.
+    // BenignMapMatchesHealthyTimingExactly pins it; check_simperf.py
+    // gates the drift this run measured).
+    const Overhead fabricFaultOh = runOverhead(
+        ms, kRepeats, "benign fault map",
+        [&] {
+            return measureMultiChip("multichip_fault_off", 2, 2, 1, fw,
+                                    fi);
+        },
+        [&] {
+            return measureMultiChip("multichip_fault_armed", 2, 2, 1, fw,
+                                    fi, false, true);
+        });
 
     Table table({"workload", "sim cycles", "instructions", "wall s",
                  "Mcycles/s", "sim MIPS"});

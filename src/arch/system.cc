@@ -404,7 +404,8 @@ System::writeObservability()
     // "cyclops-chipN" (pids 1 and 2 stay reserved for the standalone
     // guest and host processes), and with the "net" category enabled
     // the fabric rides pid 3 as "cyclops-fabric" with one track per
-    // directed link (tools/check_trace.py validates the scheme).
+    // directed link (tools/check_trace.py checks this layout against
+    // the run's shape).
     const std::string path = obsOrig_.expandPath(obsOrig_.traceOut);
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (!f)
@@ -452,8 +453,8 @@ System::writeFabricStats()
                  static_cast<unsigned long long>(now_), nc.dimX,
                  nc.dimY, nc.dimZ, nc.torus ? "true" : "false",
                  nc.numChips(), fabric_.numLinks());
-    // Link-fault map: validators relax the healthy-fabric identities
-    // (flits x hops, busy == flits, histogram n == messages) exactly
+    // Link-fault map: the healthy-fabric identities (flits x hops,
+    // busy == flits, histogram n == messages) relax to bounds exactly
     // when "active" is true.
     const net::FabricFaultMap &fm = fabric_.faultMap();
     std::fprintf(f,
@@ -504,7 +505,9 @@ System::writeFabricStats()
     // link crossings (per transmission attempt, so detours and
     // retransmits are included): sum over links of flits == sum over
     // pairs of linkFlits always, and linkFlits == flits * hops only
-    // while the fault map is empty (tools/check_fabric.py).
+    // while the fault map is empty (gtests
+    // FabricObs.PerLinkCountersTieToGlobals and
+    // FabricFault.FlakyLinkRetransmitsAndConserves).
     std::fputs("\n  },\n  \"pairs\": [", f);
     first = true;
     const u32 chips = nc.numChips();

@@ -152,7 +152,8 @@ CampaignResult runCampaign(const CampaignOptions &opts, u32 jobs);
 /**
  * Write the campaign report as deterministic JSON (schema
  * "cyclops-faultcamp-v1", no timestamps; byte-identical across runs
- * and job counts — tools/check_faultcamp.py validates it).
+ * and job counts — Faultcamp.DeterministicAcrossJobCounts pins its
+ * bookkeeping, tools/check_faultcamp.py its outcome rules).
  */
 void writeCampaignJson(const CampaignResult &result, std::FILE *out);
 

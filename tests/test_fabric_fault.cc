@@ -75,6 +75,55 @@ expectSameRun(const MultiChipResult &a, const MultiChipResult &b)
     EXPECT_EQ(a.crcErrors, b.crcErrors);
 }
 
+/**
+ * The degraded-fabric forms of the telemetry identities: detours and
+ * retransmits make a pair's link crossings a per-attempt count, so
+ * the healthy equalities (linkFlits == flits x hops, busy == flits,
+ * one latency sample per message) become bounds, while the sums that
+ * tie the per-link and per-pair views together stay exact.
+ */
+void
+expectDegradedIdentities(const Fabric &fabric)
+{
+    const u32 chips = fabric.config().net.numChips();
+    u64 linkFlits = 0, linkStalls = 0;
+    for (const Fabric::Link &l : fabric.links()) {
+        if (!l.exists)
+            continue;
+        // Derating only stretches a link's occupancy.
+        EXPECT_GE(l.busyCycles.value(), l.flits.value())
+            << l.src << "->" << l.dst;
+        linkFlits += l.flits.value();
+        linkStalls += l.stallCycles.value();
+    }
+    u64 pairLinkFlits = 0, pairFlits = 0, pairMsgs = 0, pairBytes = 0;
+    for (u32 s = 0; s < chips; ++s) {
+        for (u32 d = 0; d < chips; ++d) {
+            if (s == d)
+                continue;
+            // Every attempt crosses at least one link.
+            EXPECT_GE(fabric.pairLinkFlits(s, d), fabric.pairFlits(s, d))
+                << s << "->" << d;
+            pairLinkFlits += fabric.pairLinkFlits(s, d);
+            pairFlits += fabric.pairFlits(s, d);
+            pairMsgs += fabric.pairMessages(s, d);
+            pairBytes += fabric.pairBytes(s, d);
+        }
+    }
+    EXPECT_EQ(linkFlits, pairLinkFlits);
+    EXPECT_EQ(linkStalls, fabric.queueCycles());
+    EXPECT_EQ(pairFlits, fabric.flitsInjected());
+    EXPECT_EQ(pairMsgs, fabric.messages());
+    EXPECT_EQ(pairBytes, fabric.bytesMoved());
+    // An abandoned message is never sampled.
+    for (const Histogram *h : {&fabric.latencyTotal(),
+                               &fabric.latencyQueue(),
+                               &fabric.latencyWire()})
+        EXPECT_LE(h->samples(), fabric.messages());
+    EXPECT_EQ(fabric.latencyTotal().sum(),
+              fabric.latencyQueue().sum() + fabric.latencyWire().sum());
+}
+
 } // namespace
 
 TEST(FabricFault, CheckFaultMapRejectsBadMaps)
@@ -172,6 +221,25 @@ TEST(FabricFault, FlakyLinkRetransmitsAndConserves)
     }
     EXPECT_EQ(again.retransmits(), fabric.retransmits());
     EXPECT_EQ(again.crcErrors(), fabric.crcErrors());
+    expectDegradedIdentities(fabric);
+
+    // A dead link and a flaky link together, under all-pairs traffic:
+    // detours and retransmits both occur and the identities hold.
+    FabricConfig both;
+    both.net = shape(2, 2, 1, true);
+    both.faults.links = {deadLink(0, 1), flakyLink(1, 0, 200'000)};
+    both.faults.seed = 7;
+    Fabric mixed(both);
+    for (u32 i = 0; i < 96; ++i) {
+        const u32 src = i % 4;
+        const u32 dst = (src + 1 + (i / 4) % 3) % 4;
+        EXPECT_TRUE(mixed.inject(Cycle(i) * 8, src, dst, 48).ok)
+            << "message " << i;
+    }
+    mixed.advance(kCycleNever);
+    EXPECT_GT(mixed.rerouted(), 0u);
+    EXPECT_GT(mixed.retransmits(), 0u);
+    expectDegradedIdentities(mixed);
 }
 
 TEST(FabricFault, PerPairDeliveriesStayFifoUnderRetransmits)

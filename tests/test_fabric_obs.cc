@@ -125,6 +125,12 @@ TEST(FabricObs, PerLinkCountersTieToGlobals)
         for (u32 d = 0; d < net.numChips(); ++d) {
             if (s == d)
                 continue;
+            // Healthy fabric: a pair's link crossings are exactly its
+            // flits times its DOR hop count.
+            EXPECT_EQ(fabric.pairLinkFlits(s, d),
+                      fabric.pairFlits(s, d) *
+                          fabric.topology().hops(s, d))
+                << s << "->" << d;
             pairFlitHops += fabric.pairFlits(s, d) *
                             fabric.topology().hops(s, d);
             pairFlits += fabric.pairFlits(s, d);
@@ -138,6 +144,13 @@ TEST(FabricObs, PerLinkCountersTieToGlobals)
     EXPECT_EQ(pairBytes, fabric.bytesMoved());
     EXPECT_EQ(linkStalls, fabric.queueCycles());
     EXPECT_GT(linkStalls, 0u) << "traffic never contended";
+
+    // With an empty fault map every fault counter reads zero.
+    EXPECT_EQ(fabric.flitsDropped(), 0u);
+    EXPECT_EQ(fabric.rerouted(), 0u);
+    EXPECT_EQ(fabric.retransmits(), 0u);
+    EXPECT_EQ(fabric.crcErrors(), 0u);
+    EXPECT_EQ(fabric.unroutable(), 0u);
 }
 
 TEST(FabricObs, LatencySplitIsExact)
@@ -172,15 +185,28 @@ TEST(FabricObs, StatsRegistryNamesMatchLinkRecords)
         const std::string base =
             strprintf("fabric.link.%u->%u", l.src, l.dst);
         EXPECT_EQ(stats.counterValue(base + ".flits"), l.flits.value());
+        EXPECT_EQ(stats.counterValue(base + ".busyCycles"),
+                  l.busyCycles.value());
         EXPECT_EQ(stats.counterValue(base + ".stallCycles"),
                   l.stallCycles.value());
+        EXPECT_EQ(stats.counterValue(base + ".occFlitCycles"),
+                  l.occFlitCycles.value());
         EXPECT_EQ(stats.counterValue(base + ".occPeak"), l.occPeak);
         // Drained fabric: no backlog left anywhere.
         EXPECT_EQ(stats.counterValue(base + ".occupancy"), 0u);
     }
+    // The 12 fabric-wide scalars (6 traffic + 6 fault/retry) are all
+    // registered; counterValue() is fatal on a missing name.
+    for (const char *name :
+         {"fabric.messages", "fabric.bytes", "fabric.queueCycles",
+          "fabric.flitsInjected", "fabric.flitsDelivered",
+          "fabric.flitsInFlight", "fabric.droppedFlits",
+          "fabric.rerouted", "fabric.retransmits", "fabric.retries",
+          "fabric.crcErrors", "fabric.unroutable"})
+        (void)stats.counterValue(name);
     // 2x2x1 torus: 4 chips x 2 plus-direction links (extent-2 minus
     // wires are unregistered), each with 4 counters + 2 gauges, plus
-    // the 12 fabric-wide scalars (6 traffic + 6 fault/retry).
+    // the 12 fabric-wide scalars.
     EXPECT_EQ(fabric.numLinks(), 8u);
     EXPECT_EQ(stats.scalarNames().size(), 12u + 8u * 6u);
 }
@@ -375,12 +401,24 @@ TEST(FabricObs, FabricStatsAndHeatmapFilesWellFormed)
     const MultiChipResult r = workloads::runHaloExchange(mc);
     ASSERT_TRUE(r.verified);
 
-    // Structural spot-checks; the ctest smoke runs the full validator
-    // (tools/check_fabric.py) on these same files.
+    // Every section and record field of the cyclops-fabric-v1 schema;
+    // the identities behind the numbers are pinned on the Fabric
+    // itself (PerLinkCountersTieToGlobals, LatencySplitIsExact), and
+    // the ctest smoke cross-checks these files against each other
+    // (tools/check_fabric.py --heatmap).
     const std::string stats = slurp(mc.obs.fabricStats);
-    EXPECT_NE(stats.find("\"schema\": \"cyclops-fabric-v1\""),
-              std::string::npos);
-    EXPECT_NE(stats.find("\"topology\""), std::string::npos);
+    for (const char *key :
+         {"\"schema\": \"cyclops-fabric-v1\"", "\"cycles\": ",
+          "\"topology\": {\"dimX\": 2, \"dimY\": 2, \"dimZ\": 1, "
+          "\"torus\": true, \"chips\": 4, \"links\": 8}",
+          "\"faults\": {\"active\": false, \"seed\": ",
+          "\"counters\": {", "\"histograms\": {",
+          "\"fabric.latency.queue\"", "\"fabric.latency.wire\"",
+          "\"messages\": ", "\"hops\": ", "\"linkFlits\": ",
+          "\"busyCycles\": ", "\"occFlitCycles\": ", "\"occPeak\": "})
+        EXPECT_NE(stats.find(key), std::string::npos) << key;
+    // Chip pairs that never talked are omitted.
+    EXPECT_EQ(stats.find("\"messages\": 0,"), std::string::npos);
     EXPECT_NE(stats.find("\"fabric.link.0->1.flits\""),
               std::string::npos);
     EXPECT_NE(stats.find("\"fabric.latency.total\""),
@@ -405,6 +443,27 @@ TEST(FabricObs, FabricStatsAndHeatmapFilesWellFormed)
     EXPECT_NE(trace.find("\"ph\": \"s\""), std::string::npos);
     EXPECT_NE(trace.find("\"ph\": \"f\""), std::string::npos);
     EXPECT_NE(trace.find("\"cat\": \"net\""), std::string::npos);
+
+    // A degraded run records its fault map and marks it active.
+    mc.faults.links = {LinkFault{}, LinkFault{}};
+    mc.faults.links[0].src = 0;
+    mc.faults.links[0].dst = 1;
+    mc.faults.links[0].kind = LinkFaultKind::Dead;
+    mc.faults.links[1].src = 1;
+    mc.faults.links[1].dst = 0;
+    mc.faults.links[1].kind = LinkFaultKind::Flaky;
+    mc.faults.links[1].flakyPpm = 200'000;
+    mc.faults.seed = 7;
+    ASSERT_TRUE(workloads::runHaloExchange(mc).verified);
+    const std::string degraded = slurp(mc.obs.fabricStats);
+    for (const char *key :
+         {"\"faults\": {\"active\": true, \"seed\": 7, \"atCycle\": 0, "
+          "\"links\": [",
+          "{\"src\": 0, \"dst\": 1, \"kind\": \"dead\", \"flakyPpm\": 0, "
+          "\"escapePpm\": 0, \"derate\": ",
+          "{\"src\": 1, \"dst\": 0, \"kind\": \"flaky\", "
+          "\"flakyPpm\": 200000, \"escapePpm\": 0, \"derate\": "})
+        EXPECT_NE(degraded.find(key), std::string::npos) << key;
 }
 
 TEST(FabricObs, RemoteWaitAttributionOnMultiChip)

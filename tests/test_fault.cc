@@ -484,6 +484,95 @@ TEST(FuzzInterop, DefaultWatchdogOutlastsDiffBudget)
 // Fault-injection campaigns.
 // ---------------------------------------------------------------------------
 
+namespace
+{
+
+/**
+ * The campaign report's own invariants: counts are the tally of the
+ * injection outcomes, each injection's target fields are in range for
+ * its kind, a single-kind campaign holds only that kind, and every
+ * detected/crash outcome carries a diagnostic. The JSON report lists
+ * the injections in iteration order under those counts.
+ */
+void
+expectWellFormedCampaign(const fault::CampaignResult &r)
+{
+    std::array<u64, fault::kNumOutcomes> tally{};
+    for (const fault::InjectionResult &inj : r.injections) {
+        const fault::FaultSpec &s = inj.spec;
+        ++tally[size_t(inj.outcome)];
+        EXPECT_GE(s.cycle, 1u);
+        if (r.opts.kindSet) {
+            EXPECT_EQ(s.kind, r.opts.kind);
+        }
+        if (s.kind == fault::FaultKind::Register) {
+            EXPECT_GE(s.reg, 1u);
+            EXPECT_LE(s.reg, 63u);
+        }
+        if (s.kind == fault::FaultKind::Link) {
+            EXPECT_NE(s.linkSrc, s.linkDst);
+            EXPECT_LE(s.ppm, 1'000'000u);
+            EXPECT_LE(s.escapePpm, 1'000'000u);
+        }
+        if (inj.outcome == fault::Outcome::Detected ||
+            inj.outcome == fault::Outcome::Crash) {
+            EXPECT_FALSE(inj.detail.empty());
+        }
+    }
+    EXPECT_EQ(tally, r.counts);
+
+    std::FILE *f = std::tmpfile();
+    ASSERT_NE(f, nullptr);
+    fault::writeCampaignJson(r, f);
+    std::string json(size_t(std::ftell(f)), '\0');
+    std::rewind(f);
+    ASSERT_EQ(std::fread(json.data(), 1, json.size(), f), json.size());
+    std::fclose(f);
+    const std::string counts = strprintf(
+        "\"counts\": {\"masked\": %llu, \"detected\": %llu, \"sdc\": %llu, "
+        "\"crash\": %llu, \"hang\": %llu}",
+        static_cast<unsigned long long>(tally[0]),
+        static_cast<unsigned long long>(tally[1]),
+        static_cast<unsigned long long>(tally[2]),
+        static_cast<unsigned long long>(tally[3]),
+        static_cast<unsigned long long>(tally[4]));
+    EXPECT_EQ(json.rfind(
+                  strprintf("{\n  \"schema\": \"cyclops-faultcamp-v1\",\n"
+                            "  \"campaign\": {\"seed\": %llu, "
+                            "\"iterations\": %u, \"threads\": %u, "
+                            "\"bodyOps\": %u, \"maxCycles\": ",
+                            static_cast<unsigned long long>(r.opts.seed),
+                            r.opts.iterations, r.opts.threads,
+                            r.opts.bodyOps),
+                  0),
+              0u)
+        << json;
+    EXPECT_NE(json.find(strprintf(
+                  "\"kind\": \"%s\"},\n",
+                  r.opts.kindSet ? fault::faultKindName(r.opts.kind)
+                                 : "mixed")),
+              std::string::npos);
+    EXPECT_NE(json.find(counts), std::string::npos) << json;
+    // One line per injection, in iteration order, with its kind's
+    // target fields.
+    static const std::array<std::vector<const char *>, 4> kFields = {{
+        {"\"thread\": ", "\"reg\": ", "\"bit\": "},
+        {"\"addr\": ", "\"bit\": "},
+        {"\"cache\": ", "\"line\": "},
+        {"\"linkSrc\": ", "\"linkDst\": ", "\"ppm\": ", "\"escapePpm\": "},
+    }};
+    size_t pos = 0;
+    for (size_t i = 0; i < r.injections.size(); ++i) {
+        pos = json.find(strprintf("{\"iter\": %zu, ", i), pos);
+        ASSERT_NE(pos, std::string::npos) << "iter " << i;
+        const std::string line = json.substr(pos, json.find('\n', pos) - pos);
+        for (const char *field : kFields[size_t(r.injections[i].spec.kind)])
+            EXPECT_NE(line.find(field), std::string::npos) << line;
+    }
+}
+
+} // namespace
+
 TEST(Faultcamp, DeterministicAcrossJobCounts)
 {
     fault::CampaignOptions opts;
@@ -510,6 +599,15 @@ TEST(Faultcamp, DeterministicAcrossJobCounts)
         EXPECT_EQ(serial.injections[i].spec.cycle,
                   parallel.injections[i].spec.cycle);
     }
+    expectWellFormedCampaign(serial);
+
+    // A link-kind campaign (2x2x1 torus halo, one link fault each).
+    opts.kindSet = true;
+    opts.kind = fault::FaultKind::Link;
+    opts.iterations = 8;
+    const fault::CampaignResult link = fault::runCampaign(opts, 2);
+    ASSERT_EQ(link.injections.size(), 8u);
+    expectWellFormedCampaign(link);
 }
 
 TEST(Faultcamp, InjectionIsSelfContained)

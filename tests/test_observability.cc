@@ -9,6 +9,7 @@
  * features may change simulated timing.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <gtest/gtest.h>
@@ -191,7 +192,8 @@ TEST(Observability, TraceJsonWellFormedAndDeterministic)
     EXPECT_EQ(a, b);
 
     // Structural spot-checks of the Chrome trace-event format; the
-    // ctest smoke test runs the full validator (tools/check_trace.py).
+    // ctest smoke tests run tools/check_trace.py for the event format
+    // and the pid layout against each run's shape.
     EXPECT_NE(a.find("\"traceEvents\": ["), std::string::npos);
     EXPECT_NE(a.find("\"process_name\""), std::string::npos);
     EXPECT_NE(a.find("\"thread_name\""), std::string::npos);
@@ -364,9 +366,30 @@ TEST(Observability, StatsCsvRoundTrips)
     EXPECT_EQ(csv.rfind("cycle,", 0), 0u) << "CSV must start at header";
     EXPECT_NE(csv.find("chip.cycles"), std::string::npos);
     EXPECT_NE(csv.find("attr.run"), std::string::npos);
+    // Every row is as wide as the header, all-integer, and the sample
+    // cycles strictly increase.
+    std::istringstream lines(csv);
+    std::string line;
+    std::getline(lines, line);
+    const auto columns = std::count(line.begin(), line.end(), ',');
+    long long prevCycle = -1;
+    u32 rows = 0;
+    while (std::getline(lines, line)) {
+        ++rows;
+        EXPECT_EQ(std::count(line.begin(), line.end(), ','), columns)
+            << line;
+        EXPECT_EQ(line.find_first_not_of("0123456789,"), std::string::npos)
+            << line;
+        const long long cycle = std::stoll(line);
+        EXPECT_GT(cycle, prevCycle) << line;
+        prevCycle = cycle;
+    }
+    EXPECT_GT(rows, 1u);
 
     const std::string json = slurp(chipCfg.obs.statsJson);
     EXPECT_NE(json.find("\"cycles\""), std::string::npos);
+    EXPECT_NE(json.find("\"counters\": {"), std::string::npos);
+    EXPECT_NE(json.find("\"histograms\": {"), std::string::npos);
     EXPECT_NE(json.find("\"attr.barrierWait\""), std::string::npos);
     EXPECT_NE(json.find("\"series\""), std::string::npos);
     EXPECT_NE(json.find("\"mem.loadLatency\""), std::string::npos);

@@ -10,8 +10,10 @@
  * and the heatmap's access matrix sums to the banks' own counters.
  */
 
+#include <algorithm>
 #include <fstream>
 #include <gtest/gtest.h>
+#include <numeric>
 #include <sstream>
 
 #include "arch/chip.h"
@@ -85,6 +87,40 @@ busyProgram(u32 iters)
     b.bne(12, 0, loop);
     b.halt();
     return b.finish();
+}
+
+/**
+ * Every `"field": N` value inside the `"section": [...]` array of a
+ * profile report, in file order.
+ */
+std::vector<u64>
+sectionValues(const std::string &json, const std::string &section,
+              const std::string &field)
+{
+    std::vector<u64> out;
+    size_t pos = json.find("\"" + section + "\": [");
+    EXPECT_NE(pos, std::string::npos) << section;
+    if (pos == std::string::npos)
+        return out;
+    const size_t end = json.find(']', pos);
+    const std::string key = "\"" + field + "\": ";
+    while ((pos = json.find(key, pos)) < end) {
+        pos += key.size();
+        out.push_back(std::stoull(json.substr(pos)));
+    }
+    return out;
+}
+
+/** The top-level `"field": N` value of a profile report. */
+u64
+topValue(const std::string &json, const std::string &field)
+{
+    const std::string key = "\n  \"" + field + "\": ";
+    const size_t pos = json.find(key);
+    EXPECT_NE(pos, std::string::npos) << field;
+    if (pos == std::string::npos)
+        return 0;
+    return std::stoull(json.substr(pos + key.size()));
 }
 
 } // namespace
@@ -292,10 +328,43 @@ TEST(Profiler, StreamProfileTopSymbolIsKernelLoop)
     EXPECT_EQ(json.substr(first, 36).find("triad_kernel"), 11u)
         << json.substr(first, 64);
 
+    // Accounting: the per-symbol and per-thread samples each sum to
+    // the total; symbols and hot PCs are listed hottest-first, at most
+    // 32 hot PCs, and only threads that were sampled.
+    EXPECT_EQ(topValue(json, "profInterval"), 64u);
+    EXPECT_GT(topValue(json, "cycles"), 0u);
+    const u64 total = topValue(json, "samples");
+    EXPECT_GT(total, 0u);
+    EXPECT_LE(topValue(json, "unmappedSamples"), total);
+    const std::vector<u64> perSymbol =
+        sectionValues(json, "symbols", "samples");
+    const std::vector<u64> perThread =
+        sectionValues(json, "threads", "samples");
+    const std::vector<u64> hot = sectionValues(json, "hotPcs", "samples");
+    EXPECT_EQ(std::accumulate(perSymbol.begin(), perSymbol.end(), u64(0)),
+              total);
+    EXPECT_EQ(std::accumulate(perThread.begin(), perThread.end(), u64(0)),
+              total);
+    EXPECT_EQ(perThread.size(), 4u);
+    EXPECT_EQ(std::count(perThread.begin(), perThread.end(), u64(0)), 0);
+    EXPECT_TRUE(std::is_sorted(perSymbol.rbegin(), perSymbol.rend()));
+    EXPECT_TRUE(std::is_sorted(hot.rbegin(), hot.rend()));
+    EXPECT_GT(hot.size(), 0u);
+    EXPECT_LE(hot.size(), 32u);
+    EXPECT_EQ(sectionValues(json, "igClasses", "misses").size(),
+              size_t(MemSystem::kNumIgClasses));
+    EXPECT_EQ(sectionValues(json, "banks", "queueCycles").size(),
+              size_t(ChipConfig{}.numBanks));
+
     const std::string folded =
         slurp(chipCfg.obs.profOut + ".folded");
     EXPECT_NE(folded.find(";triad_kernel "), std::string::npos);
     EXPECT_EQ(folded.rfind("tu", 0), 0u);
+    const std::string heat = slurp(chipCfg.obs.profOut + ".heatmap.csv");
+    EXPECT_EQ(heat.rfind("row,quad,bank0,bank1,", 0), 0u);
+    EXPECT_NE(heat.find("\naccess,0,"), std::string::npos);
+    EXPECT_NE(heat.find("\nconflict,0,"), std::string::npos);
+    EXPECT_NE(heat.find("\nbankAccesses,-,"), std::string::npos);
 
     // Byte-determinism: an identical run writes identical files.
     ChipConfig again = chipCfg;
@@ -303,8 +372,7 @@ TEST(Profiler, StreamProfileTopSymbolIsKernelLoop)
     runStream(cfg, again);
     EXPECT_EQ(json, slurp(again.obs.profOut));
     EXPECT_EQ(folded, slurp(again.obs.profOut + ".folded"));
-    EXPECT_EQ(slurp(chipCfg.obs.profOut + ".heatmap.csv"),
-              slurp(again.obs.profOut + ".heatmap.csv"));
+    EXPECT_EQ(heat, slurp(again.obs.profOut + ".heatmap.csv"));
 }
 
 // The TSan preset runs every Profiler test: this one drives per-chip

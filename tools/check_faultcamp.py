@@ -1,23 +1,20 @@
 #!/usr/bin/env python3
-"""Validate a cyclops-faultcamp JSON report.
+"""Check a cyclops-faultcamp JSON report's outcome rules.
 
-Checks the schema, the per-injection fields, and the campaign
-invariants:
-  - counts sum to the iteration count and match the injection list;
-  - every injection is in exactly one of the five outcome classes;
-  - iterations are contiguous and in order (0..N-1);
-  - kind-specific target fields are present and well-formed;
+  check_faultcamp.py camp.json
+
+The rules tie each fault's kind to what it may do to the run:
   - cache-line faults are architecturally inert (timing-directory
-    caches; functional data lives in flat DRAM) so they must classify
+    caches; functional data lives in flat DRAM), so they must classify
     as masked;
-  - link faults carry well-formed probabilities (ppm <= 1e6), are
-    never self-addressed, and a dead link (ppm == 0) never classifies
-    as sdc — only a checksum escape can corrupt data silently;
-  - a single-kind campaign (--kind) contains only that kind;
-  - detected/crash outcomes carry a diagnostic detail string.
+  - a dead link (ppm == 0, escapePpm == 0) never classifies as sdc:
+    only a checksum escape can corrupt data silently.
 
-With --compare, additionally require a second report file to be
-byte-identical (determinism across job counts).
+The report's own bookkeeping (counts equal the tally of outcomes,
+iteration order, per-kind target fields, detail strings, the header)
+is pinned by the Faultcamp.DeterministicAcrossJobCounts gtest, and
+byte-determinism across job counts by the smoke tests
+(tools/smoke.py).
 """
 
 import argparse
@@ -25,14 +22,6 @@ import json
 import sys
 
 SCHEMA = "cyclops-faultcamp-v1"
-OUTCOMES = ("masked", "detected", "sdc", "crash", "hang")
-KINDS = ("register", "memory", "cacheLine", "link")
-KIND_FIELDS = {
-    "register": ("thread", "reg", "bit"),
-    "memory": ("addr", "bit"),
-    "cacheLine": ("cache", "line"),
-    "link": ("linkSrc", "linkDst", "ppm", "escapePpm"),
-}
 
 
 def fail(msg):
@@ -40,97 +29,28 @@ def fail(msg):
     sys.exit(1)
 
 
-def check_injection(i, inj):
-    where = f"injection {i}"
-    for field in ("iter", "seed", "kind", "cycle", "outcome", "cycles"):
-        if field not in inj:
-            fail(f"{where}: missing field '{field}'")
-    if inj["iter"] != i:
-        fail(f"{where}: iter {inj['iter']} out of order")
-    if inj["kind"] not in KINDS:
-        fail(f"{where}: unknown kind '{inj['kind']}'")
-    if inj["outcome"] not in OUTCOMES:
-        fail(f"{where}: unknown outcome '{inj['outcome']}'")
-    if not isinstance(inj["cycle"], int) or inj["cycle"] < 1:
-        fail(f"{where}: injection cycle must be a positive integer")
-    for field in KIND_FIELDS[inj["kind"]]:
-        if field not in inj:
-            fail(f"{where}: {inj['kind']} fault missing '{field}'")
-        if not isinstance(inj[field], int) or inj[field] < 0:
-            fail(f"{where}: field '{field}' must be a nonneg integer")
-    if inj["kind"] == "register" and not 1 <= inj["reg"] <= 63:
-        fail(f"{where}: register {inj['reg']} out of range 1..63")
-    if inj["kind"] == "cacheLine" and inj["outcome"] != "masked":
-        fail(f"{where}: cache-line fault classified '{inj['outcome']}' "
-             "(timing-only faults must be masked)")
-    if inj["kind"] == "link":
-        if inj["linkSrc"] == inj["linkDst"]:
-            fail(f"{where}: link fault is self-addressed")
-        if inj["ppm"] > 1_000_000 or inj["escapePpm"] > 1_000_000:
-            fail(f"{where}: link probabilities exceed 1e6 ppm")
-        if inj["ppm"] == 0 and inj["escapePpm"] == 0 \
-                and inj["outcome"] == "sdc":
-            fail(f"{where}: dead link classified 'sdc' (a dead link "
-                 "cannot corrupt data silently)")
-    if inj["outcome"] in ("detected", "crash") and not inj.get("detail"):
-        fail(f"{where}: outcome '{inj['outcome']}' has no detail")
-
-
-def main():
-    ap = argparse.ArgumentParser()
-    ap.add_argument("report", help="campaign JSON report")
-    ap.add_argument("--compare", metavar="FILE",
-                    help="second report that must be byte-identical")
-    args = ap.parse_args()
-
-    with open(args.report, "rb") as f:
-        raw = f.read()
-    camp = json.loads(raw)
-
+def check(path):
+    with open(path) as f:
+        camp = json.load(f)
     if camp.get("schema") != SCHEMA:
         fail(f"schema is {camp.get('schema')!r}, want {SCHEMA!r}")
-    for field in ("campaign", "counts", "injections"):
-        if field not in camp:
-            fail(f"missing top-level field '{field}'")
+    for i, inj in enumerate(camp["injections"]):
+        where = f"injection {i}"
+        if inj["kind"] == "cacheLine" and inj["outcome"] != "masked":
+            fail(f"{where}: cache-line fault classified "
+                 f"'{inj['outcome']}' (timing-only faults must be masked)")
+        if inj["kind"] == "link" and inj["ppm"] == 0 and \
+                inj["escapePpm"] == 0 and inj["outcome"] == "sdc":
+            fail(f"{where}: dead link classified 'sdc' (a dead link "
+                 "cannot corrupt data silently)")
+    print(f"check_faultcamp: OK: {len(camp['injections'])} injections, " +
+          " ".join(f"{k}={v}" for k, v in camp["counts"].items()))
 
-    meta = camp["campaign"]
-    for field in ("seed", "iterations", "threads", "bodyOps",
-                  "maxCycles", "watchdogCycles", "kind"):
-        if field not in meta:
-            fail(f"campaign header missing '{field}'")
-    if meta["kind"] not in KINDS + ("mixed",):
-        fail(f"campaign header kind {meta['kind']!r} unknown")
 
-    injections = camp["injections"]
-    if len(injections) != meta["iterations"]:
-        fail(f"{len(injections)} injections but "
-             f"{meta['iterations']} iterations")
-
-    tally = dict.fromkeys(OUTCOMES, 0)
-    for i, inj in enumerate(injections):
-        check_injection(i, inj)
-        if meta["kind"] != "mixed" and inj["kind"] != meta["kind"]:
-            fail(f"injection {i}: kind '{inj['kind']}' in a "
-                 f"'{meta['kind']}'-only campaign")
-        tally[inj["outcome"]] += 1
-
-    counts = camp["counts"]
-    if set(counts) != set(OUTCOMES):
-        fail(f"counts keys {sorted(counts)} != {sorted(OUTCOMES)}")
-    if counts != tally:
-        fail(f"counts {counts} disagree with injection list {tally}")
-    if sum(counts.values()) != meta["iterations"]:
-        fail("counts do not sum to the iteration count")
-
-    if args.compare:
-        with open(args.compare, "rb") as f:
-            other = f.read()
-        if raw != other:
-            fail(f"{args.report} and {args.compare} differ "
-                 "(campaign is not deterministic)")
-
-    print(f"check_faultcamp: OK: {meta['iterations']} injections, " +
-          " ".join(f"{k}={v}" for k, v in counts.items()))
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("report", help="campaign JSON report")
+    check(ap.parse_args(argv).report)
 
 
 if __name__ == "__main__":

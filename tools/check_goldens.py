@@ -62,11 +62,11 @@ def compare(golden_path, actual_path):
     return errors
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("--golden", required=True)
     ap.add_argument("--actual", required=True)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     errors = compare(args.golden, args.actual)
     if errors:

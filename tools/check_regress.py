@@ -131,7 +131,9 @@ def compare_manifest(base, cur, tolerance_pct):
     return 1
 
 
-def main():
+def main(argv=None):
+    global status
+    status = 0
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("baseline", help="older artifact (reference)")
     parser.add_argument("current", help="newer artifact to judge")
@@ -142,7 +144,7 @@ def main():
                         help="widen tolerance to this multiple of the "
                              "baseline's worst recorded CoV "
                              "(default 3.0)")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     base = load(args.baseline)
     cur = load(args.current)

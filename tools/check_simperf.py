@@ -121,7 +121,7 @@ def check_hostobs(report):
         fail("hostObs: peakRssKb must be positive")
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("report", help="BENCH_simperf.json path")
     parser.add_argument("--max-cov", type=float, default=50.0,
@@ -133,7 +133,7 @@ def main():
                         help="max fabric-observability host overhead "
                              "percent (default 10.0; design target is "
                              "under 2 on a quiet host)")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     try:
         with open(args.report) as f:

@@ -1,30 +1,31 @@
 #!/usr/bin/env python3
-"""Validate the simulator's observability outputs.
+"""Validate a Chrome-trace export against the shape of the run.
 
-Used by the ctest smoke tests (and handy interactively):
+  check_trace.py --trace trace.json [--expect-host] [--expect-chips N]
+                 [--expect-links N]
 
-  check_trace.py --trace trace.json   validate Chrome-trace JSON
-  check_trace.py --stats stats.json   validate the stats JSON
-  check_trace.py --csv series.csv     validate the epoch-series CSV
+Checks that the trace loads as Chrome trace-event JSON (known phases,
+per-pid timestamp order, paired flow endpoints) and that its process
+layout matches the run that wrote it:
 
---expect-host additionally requires every --trace file to carry host
-telemetry (the pid-2 "cyclops-host" process emitted under --host-obs
-with the host trace category enabled).
+--expect-host requires host telemetry: the pid-2 "cyclops-host"
+process emitted under --host-obs with the host trace category.
 
---expect-chips N requires every --trace file to be a merged
-multi-chip trace (cyclops-run --chips / arch::System): exactly N chip
-processes named "cyclops-chip0".."cyclops-chip<N-1>" on pids 10..10+N-1,
-each carrying at least one event. Chip-process naming and per-pid
-timestamp order are validated whenever chip processes appear, with or
-without the flag.
+--expect-chips N requires a merged multi-chip trace (cyclops-run
+--chips / arch::System): exactly N chip processes named
+"cyclops-chip0".."cyclops-chip<N-1>" on pids 10..10+N-1, each with at
+least one event. Chip-process naming is checked whenever chip
+processes appear.
 
---expect-links N requires every --trace file to carry the fabric
-process (pid 3, "cyclops-fabric", emitted with the "net" trace
-category on multi-chip runs) with exactly N per-link tracks (thread
-names "link.<a>-><b>") and at least one event.
+--expect-links N requires the fabric process (pid 3,
+"cyclops-fabric", emitted with the "net" trace category on multi-chip
+runs) with exactly N per-link tracks ("link.<a>-><b>") and at least
+one event.
 
-Any number of the options may be combined; the script exits non-zero
-with a message on the first malformed file.
+Host events must sit on pid 2 and net events on pid 3, whatever the
+flags. The stats JSON and epoch CSV are checked by gtests
+(Observability.StatsCsvRoundTrips and the attribution-coverage tests),
+not here. Exits non-zero with a message on the first violation.
 """
 
 import argparse
@@ -48,19 +49,9 @@ def check_trace(path: str, expect_host: bool = False,
     if not isinstance(events, list):
         fail(f"{path}: traceEvents is not a list")
     # A trace with no events at all (empty ring export, or metadata
-    # only) is valid Chrome-trace JSON and must be accepted: Perfetto
-    # loads it, and the tracer emits it when nothing was recorded.
-    if not events:
-        if expect_host:
-            fail(f"{path}: empty trace but host telemetry expected")
-        if expect_chips:
-            fail(f"{path}: empty trace but {expect_chips} chip "
-                 f"processes expected")
-        if expect_links:
-            fail(f"{path}: empty trace but {expect_links} fabric link "
-                 f"tracks expected")
-        print(f"{path}: ok (empty trace)")
-        return
+    # only) is valid Chrome-trace JSON: Perfetto loads it, and the
+    # tracer emits it when nothing was recorded. Only the --expect-*
+    # layout checks below can reject it.
     n_spans = 0
     n_host = 0
     n_flows = 0
@@ -150,11 +141,6 @@ def check_trace(path: str, expect_host: bool = False,
     # Multi-chip traces (arch::System) put each chip on its own
     # process: pid 10+i named "cyclops-chipI". The naming must match
     # the pid so Perfetto tracks line up with chip ids.
-    events_per_pid = {}
-    for ev in events:
-        if ev["ph"] != "M":
-            events_per_pid[ev["pid"]] = \
-                events_per_pid.get(ev["pid"], 0) + 1
     for pid, name in sorted(chip_procs.items()):
         if name != f"cyclops-chip{pid - 10}":
             fail(f"{path}: chip process on pid {pid} named '{name}', "
@@ -166,7 +152,7 @@ def check_trace(path: str, expect_host: bool = False,
                  f"{sorted(chip_procs)} do not match --expect-chips "
                  f"{expect_chips} (want pids {sorted(want)})")
         for pid in sorted(want):
-            if not events_per_pid.get(pid):
+            if not by_pid.get(pid):
                 fail(f"{path}: chip process pid {pid} "
                      f"(cyclops-chip{pid - 10}) has no events")
     # A flow id pairs one injection ('s') with one delivery ('f').
@@ -185,7 +171,7 @@ def check_trace(path: str, expect_host: bool = False,
         if len(link_tracks) != expect_links:
             fail(f"{path}: {len(link_tracks)} fabric link tracks, "
                  f"want --expect-links {expect_links}")
-        if not events_per_pid.get(3):
+        if not by_pid.get(3):
             fail(f"{path}: fabric process (pid 3) has no events")
     extra = f", {n_host} host" if n_host else ""
     if chip_procs:
@@ -195,71 +181,10 @@ def check_trace(path: str, expect_host: bool = False,
     print(f"{path}: ok ({len(events)} events, {n_spans} spans{extra})")
 
 
-def check_stats(path: str) -> None:
-    with open(path) as f:
-        doc = json.load(f)
-    for key in ("cycles", "counters", "histograms"):
-        if key not in doc:
-            fail(f"{path}: missing '{key}'")
-    if not isinstance(doc["cycles"], int) or doc["cycles"] < 0:
-        fail(f"{path}: bad cycle count")
-    for name, value in doc["counters"].items():
-        if not isinstance(value, int):
-            fail(f"{path}: counter '{name}' is not an integer")
-    for name, h in doc["histograms"].items():
-        for key in ("n", "sum", "max", "buckets"):
-            if key not in h:
-                fail(f"{path}: histogram '{name}' missing '{key}'")
-        if sum(h["buckets"]) != h["n"]:
-            fail(f"{path}: histogram '{name}' buckets do not sum to n")
-    # The attribution gauges must cover every simulated cycle: summed
-    # over the 7 categories they equal cycles * numThreads, but the
-    # thread count is not in the file, so check divisibility instead.
-    attr = {k: v for k, v in doc["counters"].items()
-            if k.startswith("attr.")}
-    if attr:
-        total = sum(attr.values())
-        if doc["cycles"] and total % doc["cycles"] != 0:
-            fail(f"{path}: attribution total {total} is not a "
-                 f"multiple of the {doc['cycles']}-cycle run")
-    print(f"{path}: ok ({len(doc['counters'])} counters, "
-          f"{len(doc['histograms'])} histograms)")
-
-
-def check_csv(path: str) -> None:
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines:
-        fail(f"{path}: empty")
-    header = lines[0].split(",")
-    if header[0] != "cycle":
-        fail(f"{path}: first column must be 'cycle'")
-    prev_cycle = -1
-    for i, line in enumerate(lines[1:], start=2):
-        row = line.split(",")
-        if len(row) != len(header):
-            fail(f"{path}: line {i} has {len(row)} fields, "
-                 f"want {len(header)}")
-        try:
-            values = [int(v) for v in row]
-        except ValueError:
-            fail(f"{path}: line {i} has a non-integer field")
-        if values[0] <= prev_cycle:
-            fail(f"{path}: sample cycles not strictly increasing "
-                 f"at line {i}")
-        prev_cycle = values[0]
-    print(f"{path}: ok ({len(lines) - 1} samples, "
-          f"{len(header) - 1} counters)")
-
-
-def main() -> None:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--trace", action="append", default=[],
+    parser.add_argument("--trace", action="append", required=True,
                         help="Chrome-trace JSON file to validate")
-    parser.add_argument("--stats", action="append", default=[],
-                        help="stats JSON file to validate")
-    parser.add_argument("--csv", action="append", default=[],
-                        help="epoch-series CSV file to validate")
     parser.add_argument("--expect-host", action="store_true",
                         help="require host telemetry in every trace")
     parser.add_argument("--expect-chips", type=int, default=0,
@@ -268,17 +193,11 @@ def main() -> None:
     parser.add_argument("--expect-links", type=int, default=0,
                         help="require the fabric process (pid 3) with N "
                              "per-link tracks in every trace")
-    args = parser.parse_args()
-    if not (args.trace or args.stats or args.csv):
-        fail("nothing to check (use --trace/--stats/--csv)")
+    args = parser.parse_args(argv)
     for path in args.trace:
         check_trace(path, expect_host=args.expect_host,
                     expect_chips=args.expect_chips,
                     expect_links=args.expect_links)
-    for path in args.stats:
-        check_stats(path)
-    for path in args.csv:
-        check_csv(path)
 
 
 if __name__ == "__main__":
