@@ -20,9 +20,9 @@
  * Overhead experiments (profiler, host telemetry, fabric
  * observability, fault model) therefore time each run in the calling
  * thread's CPU time (CLOCK_THREAD_CPUTIME_ID), which other processes
- * on a shared host cannot inflate, and report the median of repeated
- * interleaved runs plus the coefficient of variation (see DESIGN.md
- * section 15).
+ * on a shared host cannot inflate, and report the median over
+ * interleaved off/on pairs of the pair's rate ratio, plus each side's
+ * coefficient of variation (see DESIGN.md section 15).
  */
 
 #include <time.h>
@@ -181,26 +181,52 @@ selectMedian(std::vector<Measurement> runs)
     return rep;
 }
 
+/** Both sides of an A/B experiment and the paired overhead estimate. */
+struct PairedRuns
+{
+    Repeated off;
+    Repeated on;
+    double overheadPct = 0; ///< (1 - median of per-pair on/off) x 100
+};
+
 /**
  * Run an A/B overhead experiment with the sides interleaved
  * (off, on, off, on, ...): host throughput drifts monotonically over
  * the benchmark's lifetime (allocator and page-cache warm-up), so
  * running all of one side first hands whichever side runs second a
  * systematic advantage far larger than the feature being measured.
- * Each side is then reduced by selectMedian independently.
+ * Each side is reduced by selectMedian for its reported rate and
+ * CoV, but the overhead comes from the pairs: the two runs of a pair
+ * share the host's state at that moment, so drift and a neighbour's
+ * load largely cancel in their ratio instead of landing on one
+ * side's median.
  */
 template <typename FnOff, typename FnOn>
-std::pair<Repeated, Repeated>
-repeatMedianPair(u32 repeats, FnOff fnOff, FnOn fnOn)
+PairedRuns
+repeatPaired(u32 repeats, FnOff fnOff, FnOn fnOn)
 {
     std::vector<Measurement> offs, ons;
+    std::vector<double> ratios;
     offs.reserve(repeats);
     ons.reserve(repeats);
     for (u32 i = 0; i < repeats; ++i) {
         offs.push_back(fnOff());
         ons.push_back(fnOn());
+        const double base = offs.back().cpuCyclesPerSec();
+        if (base > 0)
+            ratios.push_back(ons.back().cpuCyclesPerSec() / base);
     }
-    return {selectMedian(std::move(offs)), selectMedian(std::move(ons))};
+    PairedRuns runs{selectMedian(std::move(offs)),
+                    selectMedian(std::move(ons))};
+    if (!ratios.empty()) {
+        std::sort(ratios.begin(), ratios.end());
+        const size_t mid = ratios.size() / 2;
+        const double median = ratios.size() % 2
+                                  ? ratios[mid]
+                                  : (ratios[mid - 1] + ratios[mid]) / 2;
+        runs.overheadPct = (1.0 - median) * 100;
+    }
+    return runs;
 }
 
 Measurement
@@ -315,9 +341,10 @@ measureSweep(const Options &opts, const std::vector<u32> &sizes)
 
 /**
  * An on/off overhead experiment: the same workload with a feature
- * enabled vs disabled, each side measured as the median of repeated
- * runs in thread CPU time. Used for the profiler, host telemetry,
- * fabric observability and the fault model.
+ * enabled vs disabled, in interleaved pairs of runs timed in thread
+ * CPU time; each side reports its median run, the overhead is the
+ * median over pairs (repeatPaired). Used for the profiler, host
+ * telemetry, fabric observability and the fault model.
  */
 struct Overhead
 {
@@ -327,15 +354,7 @@ struct Overhead
     Measurement on;
     double offCovPct = 0;
     double onCovPct = 0;
-
-    double
-    overheadPct() const
-    {
-        return off.cpuCyclesPerSec() > 0
-                   ? (1.0 - on.cpuCyclesPerSec() / off.cpuCyclesPerSec()) *
-                         100
-                   : 0;
-    }
+    double overheadPct = 0;
 };
 
 /**
@@ -348,13 +367,14 @@ Overhead
 runOverhead(std::vector<Measurement> &ms, u32 repeats, const char *what,
             FnOff fnOff, FnOn fnOn)
 {
-    const auto [off, on] = repeatMedianPair(repeats, fnOff, fnOn);
+    const PairedRuns runs = repeatPaired(repeats, fnOff, fnOn);
     Overhead oh;
     oh.repeats = repeats;
-    oh.off = off.m;
-    oh.on = on.m;
-    oh.offCovPct = off.covPct;
-    oh.onCovPct = on.covPct;
+    oh.off = runs.off.m;
+    oh.on = runs.on.m;
+    oh.offCovPct = runs.off.covPct;
+    oh.onCovPct = runs.on.covPct;
+    oh.overheadPct = runs.overheadPct;
     if (oh.on.simCycles != oh.off.simCycles)
         warn("simperf: %s changed simulated timing (%llu != %llu "
              "cycles)",
@@ -378,7 +398,7 @@ writeFabricOverheadJson(std::FILE *f, const char *key, const Overhead &oh)
                  "\"overheadPct\": %.2f, \"simCyclesDrift\": %lld},\n",
                  key, oh.off.name.c_str(), oh.repeats,
                  oh.off.cpuCyclesPerSec(), oh.on.cpuCyclesPerSec(),
-                 oh.offCovPct, oh.onCovPct, oh.overheadPct(),
+                 oh.offCovPct, oh.onCovPct, oh.overheadPct,
                  static_cast<long long>(s64(oh.on.simCycles) -
                                         s64(oh.off.simCycles)));
 }
@@ -396,7 +416,7 @@ writeHostObsJson(std::FILE *f, const Overhead &hostOh)
                  "    \"overheadEnabledCovPct\": %.2f,\n"
                  "    \"peakRssKb\": %llu\n"
                  "  },\n",
-                 hostOh.overheadPct(), hostOh.repeats, hostOh.offCovPct,
+                 hostOh.overheadPct, hostOh.repeats, hostOh.offCovPct,
                  hostOh.onCovPct,
                  static_cast<unsigned long long>(hostPeakRssKb()));
 }
@@ -428,7 +448,7 @@ writeJson(const char *path, const Options &opts,
                  overhead.off.name.c_str(), overhead.profInterval,
                  overhead.repeats, overhead.off.cpuCyclesPerSec(),
                  overhead.on.cpuCyclesPerSec(), overhead.offCovPct,
-                 overhead.onCovPct, overhead.overheadPct());
+                 overhead.onCovPct, overhead.overheadPct);
     writeFabricOverheadJson(f, "fabricObsOverhead", fabricOh);
     writeFabricOverheadJson(f, "fabricFaultOverhead", faultOh);
     writeHostObsJson(f, hostOh);

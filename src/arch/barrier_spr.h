@@ -99,11 +99,10 @@ class HwBarrierProtocol
     }
 
     /** True once the OR shows every participant entered. */
-    bool
-    released(u8 orValue) const
-    {
-        return (orValue & (1u << bitCurrent())) == 0;
-    }
+    bool released(u8 orValue) const { return (orValue & currentBit()) == 0; }
+
+    /** The wired-OR bit whose drop releases the current use. */
+    u8 currentBit() const { return u8(1u << bitCurrent()); }
 
     /** Swap current/next roles for the next use of the barrier. */
     void consumeRelease() { phase_ ^= 1; }

@@ -72,6 +72,7 @@ runExitName(RunExitReason reason)
 Chip::Chip(const ChipConfig &cfg) : cfg_(cfg)
 {
     cfg_.validate();
+    quadShift_ = u32(std::countr_zero(cfg_.threadsPerQuad));
 
     dram_ = PageBuffer(cfg_.memBytes());
     const u32 scratchBytes =
@@ -96,9 +97,13 @@ Chip::Chip(const ChipConfig &cfg) : cfg_(cfg)
     icEnabled_.assign(cfg_.numICaches(), true);
     applyFaultMap();
 
-    wheel_.assign(kWheelSize, {});
-    ready_.reserve(cfg_.numThreads);
-    due_.reserve(cfg_.numThreads);
+    // Row entries are 16-bit thread ids. The rows are left
+    // uninitialized: only the first slotCount_ entries are ever read.
+    if (cfg_.numThreads > 0x10000)
+        fatal("numThreads (%u) exceeds the cycle engine's 65536",
+              cfg_.numThreads);
+    rowCap_ = cfg_.numThreads;
+    wheel_.reset(new u16[size_t(kWheelSize) * rowCap_]);
 
     stats_.addCounter("chip.cycles", &cycles_);
     stats_.addCounter("chip.traps", &trapsServed_);
@@ -319,6 +324,10 @@ Chip::activate(ThreadId tid, Cycle when)
     if (!tuAlive_[tid])
         fatal("activate: thread %u is not operational (dead TU, quad "
               "or I-cache)", tid);
+    // A queued unit is active until it halts; queueing it twice
+    // would serve it twice per wake.
+    if (active_[tid])
+        panic("activate: thread %u is already queued", tid);
     // New work disarms any accumulated progress-free interval.
     lastProgressCycle_ = std::max(now_, when);
     ++liveUnits_;
@@ -334,19 +343,10 @@ Chip::schedule(ThreadId tid, Cycle when)
 {
     if (when <= now_)
         when = now_ + 1;
-    // A next-cycle wake joins the ready list unless it still holds the
-    // current cycle's wakes (after a CycleLimit return, until run()
-    // gathers them); then the wheel slot keeps the order instead.
-    if (when == now_ + 1 && (ready_.empty() || readyAt_ == when)) {
-        readyAt_ = when;
-        ready_.push_back(tid);
-        return;
-    }
     if (when - now_ < kWheelSize) {
         const u32 slot = u32(when) & (kWheelSize - 1);
-        wheel_[slot].push_back(tid);
+        wheel_[size_t(slot) * rowCap_ + slotCount_[slot]++] = u16(tid);
         wheelBits_[slot >> 6] |= 1ull << (slot & 63);
-        ++inWheel_;
     } else {
         far_.emplace(when, tid);
     }
@@ -434,37 +434,21 @@ Chip::run(Cycle maxCycles)
         if (now_ >= limit)
             return {RunExitReason::CycleLimit, now_};
 
-        // Gather the units due this cycle: wheel slot, ready list, far
-        // heap. The slot vector keeps its capacity across cycles (a
-        // swap would strip the slot's buffer and force it to
-        // reallocate on every future schedule); the ready list and the
-        // due buffer trade theirs.
-        due_.clear();
+        // Serve this cycle's row in place, far-heap arrivals appended
+        // after its own entries. Wakes land in other rows only (at most
+        // kWheelSize - 1 cycles ahead), so the row is stable while its
+        // units tick.
         const u32 slotIdx = u32(now_) & (kWheelSize - 1);
-        auto &slot = wheel_[slotIdx];
-        if (!slot.empty()) {
-            due_.assign(slot.begin(), slot.end());
-            slot.clear();
-            wheelBits_[slotIdx >> 6] &= ~(1ull << (slotIdx & 63));
-            inWheel_ -= u32(due_.size());
-        }
-        if (!ready_.empty() && readyAt_ == now_) {
-            if (due_.empty())
-                due_.swap(ready_);
-            else
-                due_.insert(due_.end(), ready_.begin(), ready_.end());
-            ready_.clear();
-        }
+        u16 *due = &wheel_[size_t(slotIdx) * rowCap_];
+        u32 n = slotCount_[slotIdx];
         while (!far_.empty() && far_.top().first <= now_) {
-            due_.push_back(far_.top().second);
+            due[n++] = u16(far_.top().second);
             far_.pop();
         }
 
-        if (due_.empty()) {
+        if (n == 0) {
             // Fast-forward to the next scheduled wake-up.
-            Cycle next = inWheel_ > 0 ? nextWheelEvent() : kCycleNever;
-            if (!ready_.empty())
-                next = std::min(next, readyAt_);
+            Cycle next = nextWheelEvent();
             if (!far_.empty())
                 next = std::min(next, far_.top().first);
             if (next == kCycleNever)
@@ -474,22 +458,28 @@ Chip::run(Cycle maxCycles)
             now_ = next;
             continue;
         }
+        slotCount_[slotIdx] = 0;
+        wheelBits_[slotIdx >> 6] &= ~(1ull << (slotIdx & 63));
 
         // Rotate service order every cycle: round-robin arbitration of
-        // shared resources among same-cycle requesters.
-        const size_t n = due_.size();
-        size_t i = n > 1 ? size_t(now_ % n) : 0;
-        for (size_t served = 0; served < n; ++served, ++i) {
+        // shared resources among same-cycle requesters. A unit with a
+        // parked wait is re-polled here, in its slot, and ticked only
+        // once the wait would end (Unit::repollParked).
+        const Cycle next = now_ + 1;
+        const u32 nextSlot = u32(next) & (kWheelSize - 1);
+        u16 *nextRow = &wheel_[size_t(nextSlot) * rowCap_];
+        u32 i = n > 1 ? u32(now_ % n) : 0;
+        for (u32 served = 0; served < n; ++served, ++i) {
             if (i == n)
                 i = 0;
-            const ThreadId tid = due_[i];
+            const ThreadId tid = due[i];
             Unit *u = units_[tid].get();
-            const Cycle wake = u->tick(now_);
-            if (wake == now_ + 1) [[likely]] {
-                // schedule()'s ready-list case, inlined: while units
-                // tick, ready_ holds next-cycle wakes only.
-                readyAt_ = wake;
-                ready_.push_back(tid);
+            Cycle wake = u->parked() ? u->repollParked(now_, barrier_) : 0;
+            if (wake == 0)
+                wake = u->tick(now_);
+            if (wake == next) [[likely]] {
+                // schedule()'s common case, inlined.
+                nextRow[slotCount_[nextSlot]++] = u16(tid);
             } else if (wake == kCycleNever) {
                 if (!u->halted())
                     panic("unit %u returned never but is not halted", tid);
@@ -503,6 +493,8 @@ Chip::run(Cycle maxCycles)
                 schedule(tid, wake);
             }
         }
+        if (slotCount_[nextSlot] != 0)
+            wheelBits_[nextSlot >> 6] |= 1ull << (nextSlot & 63);
         ++cycles_;
         ++now_;
     }

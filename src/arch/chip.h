@@ -291,11 +291,11 @@ class Chip
     MemSystem &memsys() { return memsys_; }
     BarrierSpr &barrier() { return barrier_; }
     OffChipMemory &offchip() { return offchip_; }
-    Fpu &fpuOf(ThreadId tid) { return fpus_[tid / cfg_.threadsPerQuad]; }
+    Fpu &fpuOf(ThreadId tid) { return fpus_[tid >> quadShift_]; }
     ICache &
     icacheOf(ThreadId tid)
     {
-        return icaches_[tid / (cfg_.threadsPerQuad * cfg_.quadsPerICache)];
+        return icaches_[(tid >> quadShift_) / cfg_.quadsPerICache];
     }
 
     /**
@@ -327,8 +327,8 @@ class Chip
     Cycle
     icacheRefill(Cycle now, ThreadId tid, PhysAddr base, u32 *missesOut)
     {
-        return icacheOf(tid).refill(now, base, memsys_,
-                                    tid / cfg_.threadsPerQuad, missesOut);
+        return icacheOf(tid).refill(now, base, memsys_, tid >> quadShift_,
+                                    missesOut);
     }
 
     /** Value of special purpose register @p spr as read by @p tid. */
@@ -404,6 +404,7 @@ class Chip
     std::string watchdogDump() const;
 
     ChipConfig cfg_;
+    u32 quadShift_ = 0; ///< log2(threadsPerQuad), a validated power of 2
     StatGroup stats_;
     Tracer tracer_;
     EpochSampler sampler_;
@@ -448,26 +449,25 @@ class Chip
     // first cycle of a run check all three and compute it.
     Cycle nextPoint_ = 0;
 
-    // Cycle engine: now+1 ready list, timing wheel and far-future heap.
-    // Most wakes are for the next cycle; they bypass the wheel in
-    // ready_, which holds wakes for cycle readyAt_ only. A cycle's due
-    // units are gathered wheel slot first (its entries were scheduled
-    // in earlier cycles), then ready_, then the far heap — the order a
-    // single wheel would give. A one-bit-per-slot occupancy bitmap
-    // makes the idle fast-forward a countr_zero scan over 16 words
-    // instead of a linear walk of up to 1024 slots.
+    // Cycle engine: a timing wheel of kWheelSize FIFO rows plus a
+    // far-future heap. Each row holds the units due at one cycle in
+    // the order they were scheduled. The rows sit back to back in one
+    // array, numThreads wide (a unit is queued at most once, so a row
+    // cannot overflow), with a count per slot. A cycle is served from
+    // its row in place, far-heap arrivals appended after the row's own
+    // entries, so nothing is copied or allocated per cycle. A
+    // one-bit-per-slot occupancy bitmap makes the idle fast-forward a
+    // countr_zero scan over 16 words instead of a walk of 1024 slots.
     Cycle now_ = 0;
     u32 liveUnits_ = 0;
-    std::vector<std::vector<ThreadId>> wheel_;
+    u32 rowCap_ = 0;                  ///< row width: numThreads
+    std::unique_ptr<u16[]> wheel_;    ///< kWheelSize rows of rowCap_ ids
+    std::array<u16, kWheelSize> slotCount_{};
     std::array<u64, kWheelWords> wheelBits_{}; ///< slot-occupancy bitmap
     using FarEntry = std::pair<Cycle, ThreadId>;
     std::priority_queue<FarEntry, std::vector<FarEntry>,
                         std::greater<FarEntry>>
         far_;
-    u32 inWheel_ = 0;
-    std::vector<ThreadId> ready_; ///< wakes for cycle readyAt_
-    Cycle readyAt_ = 0;
-    std::vector<ThreadId> due_; ///< reusable due-this-cycle buffer
 
     std::string console_;
 

@@ -24,49 +24,31 @@ Fpu::init(u32 id, const ChipConfig &cfg, StatGroup *stats)
 bool
 Fpu::dispatch(Cycle now, FpuOp op, Cycle *resultAt)
 {
+    if (conflict(now, op))
+        return false;
     const LatencyConfig &lat = cfg_->lat;
     switch (op) {
       case FpuOp::Add:
-        if (addFree_ > now) {
-            ++conflicts_;
-            return false;
-        }
         addFree_ = now + lat.fpAddExec;
         *resultAt = now + lat.fpAddExec + lat.fpAddLat;
         ++addOps_;
         break;
       case FpuOp::Mul:
-        if (mulFree_ > now) {
-            ++conflicts_;
-            return false;
-        }
         mulFree_ = now + lat.fpAddExec;
         *resultAt = now + lat.fpAddExec + lat.fpAddLat;
         ++mulOps_;
         break;
       case FpuOp::Fma:
-        if (addFree_ > now || mulFree_ > now) {
-            ++conflicts_;
-            return false;
-        }
         addFree_ = mulFree_ = now + lat.fmaExec;
         *resultAt = now + lat.fmaExec + lat.fmaLat;
         ++fmaOps_;
         break;
       case FpuOp::Div:
-        if (divFree_ > now) {
-            ++conflicts_;
-            return false;
-        }
         divFree_ = now + lat.fpDivExec;
         *resultAt = now + lat.fpDivExec;
         ++divOps_;
         break;
       case FpuOp::Sqrt:
-        if (divFree_ > now) {
-            ++conflicts_;
-            return false;
-        }
         divFree_ = now + lat.fpSqrtExec;
         *resultAt = now + lat.fpSqrtExec;
         ++sqrtOps_;

@@ -41,6 +41,26 @@ class Fpu
      */
     bool dispatch(Cycle now, FpuOp op, Cycle *resultAt);
 
+    /**
+     * True, counting one conflict, if the port(s) @p op needs are busy
+     * at @p now — the check dispatch() fails on. The cycle engine calls
+     * it directly to re-poll a parked FPU retry (arch/unit.h).
+     */
+    bool
+    conflict(Cycle now, FpuOp op)
+    {
+        bool busy;
+        switch (op) {
+          case FpuOp::Add: busy = addFree_ > now; break;
+          case FpuOp::Mul: busy = mulFree_ > now; break;
+          case FpuOp::Fma: busy = addFree_ > now || mulFree_ > now; break;
+          default: busy = divFree_ > now; break; // Div, Sqrt
+        }
+        if (busy)
+            ++conflicts_;
+        return busy;
+    }
+
     u64 ops() const { return ops_.value(); }
 
   private:

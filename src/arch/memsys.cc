@@ -1,6 +1,7 @@
 #include "arch/memsys.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/bitops.h"
 #include "common/log.h"
@@ -12,6 +13,7 @@ void
 MemSystem::init(const ChipConfig &cfg, StatGroup *stats, Tracer *tracer)
 {
     cfg_ = &cfg;
+    quadShift_ = u32(std::countr_zero(cfg.threadsPerQuad));
     tracer_ = tracer;
     caches_.resize(cfg.numCaches());
     banks_.resize(cfg.numBanks);

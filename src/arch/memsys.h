@@ -94,7 +94,7 @@ class MemSystem
     CacheId
     localCacheOf(ThreadId tid) const
     {
-        return tid / cfg_->threadsPerQuad;
+        return tid >> quadShift_;
     }
 
     DCache &dcache(CacheId id) { return caches_[id]; }
@@ -209,6 +209,7 @@ class MemSystem
     void updateBankGeometry();
 
     const ChipConfig *cfg_ = nullptr;
+    u32 quadShift_ = 0; ///< log2(threadsPerQuad), a validated power of 2
     Tracer *tracer_ = nullptr;
     std::vector<DCache> caches_;
     std::vector<MemBank> banks_;

@@ -14,7 +14,10 @@
 #include <algorithm>
 #include <vector>
 
+#include "arch/barrier_spr.h"
+#include "arch/fpu.h"
 #include "common/config.h"
+#include "common/log.h"
 #include "common/types.h"
 
 namespace cyclops::arch
@@ -77,6 +80,25 @@ struct CycleBreakdown {
     }
 };
 
+/**
+ * A wait a unit hands to the cycle engine instead of re-polling it in
+ * tick(): a hardware-barrier spin whose wired-OR bit has not dropped,
+ * or an FPU dispatch whose port is busy. While it holds, the engine
+ * charges each poll through Unit::repollParked() and calls tick() only
+ * once the wait would end. The record is plain data, so the re-check
+ * costs no virtual call.
+ */
+struct ParkedWait
+{
+    enum class Kind : u8 { None, BarrierSpin, FpuPort };
+
+    Kind kind = Kind::None;
+    u8 spinBit = 0;          ///< BarrierSpin: the bit that must drop
+    FpuOp fpuOp = FpuOp::Add; ///< FpuPort: the op retrying dispatch
+    u32 sprLat = 0;          ///< BarrierSpin: SPR read latency
+    Fpu *fpu = nullptr;      ///< FpuPort: the quad's FPU
+};
+
 /** One schedulable hardware thread context. */
 class Unit
 {
@@ -97,6 +119,32 @@ class Unit
 
     /** True once the unit has executed its halt. */
     bool halted() const { return halted_; }
+
+    /** True while the unit waits on a ParkedWait. */
+    bool parked() const { return parked_.kind != ParkedWait::Kind::None; }
+
+    /**
+     * Re-poll the parked wait at cycle @p now, in the unit's rotation
+     * slot, exactly as the unit's own tick() would have: a barrier
+     * spin reads @p barrier's wired OR, an FPU retry asks its port
+     * (counting the conflict). While the wait holds, charge the poll
+     * and return the next wake; once it would end, clear the record
+     * and return 0 — the caller then calls tick(), which redoes the
+     * poll and proceeds.
+     */
+    Cycle
+    repollParked(Cycle now, const BarrierSpr &barrier)
+    {
+        const bool holds =
+            parked_.kind == ParkedWait::Kind::BarrierSpin
+                ? (barrier.read() & parked_.spinBit) != 0
+                : parked_.fpu->conflict(now, parked_.fpuOp);
+        if (!holds) {
+            parked_.kind = ParkedWait::Kind::None;
+            return 0;
+        }
+        return chargeParked(now);
+    }
 
     ThreadId tid() const { return tid_; }
 
@@ -219,6 +267,34 @@ class Unit
         touch(now, wake);
     }
 
+    /**
+     * Park on a hardware-barrier spin that found @p bit still set in
+     * the wired OR at @p now. Charges this failed poll and returns the
+     * cycle of the next one.
+     */
+    Cycle
+    parkBarrierSpin(Cycle now, u8 bit, u32 sprLat)
+    {
+        parked_.kind = ParkedWait::Kind::BarrierSpin;
+        parked_.spinBit = bit;
+        parked_.sprLat = sprLat;
+        return chargeParked(now);
+    }
+
+    /**
+     * Park on an FPU dispatch of @p op that found its port busy at
+     * @p now (the conflict is already counted). Charges the stall
+     * cycle and returns the retry cycle.
+     */
+    Cycle
+    parkFpuPort(Cycle now, Fpu &fpu, FpuOp op)
+    {
+        parked_.kind = ParkedWait::Kind::FpuPort;
+        parked_.fpu = &fpu;
+        parked_.fpuOp = op;
+        return chargeParked(now);
+    }
+
     void markHalted() { halted_ = true; ++progressEvents_; }
 
     /** Report an unconditional forward-progress event. */
@@ -254,6 +330,8 @@ class Unit
 
     ThreadId tid_;
     bool halted_ = false;
+    // Next to the vtable pointer: the engine reads it on every tick.
+    ParkedWait parked_;
     u64 cat_[kNumCycleCats] = {};
     Cycle firstChargeAt_ = kCycleNever;
     Cycle lastChargeEnd_ = 0;
@@ -265,6 +343,28 @@ class Unit
     PhysAddr pollPc_ = ~PhysAddr(0);
     u64 pollLoc_ = ~u64(0);
     u64 pollValue_ = 0;
+
+  private:
+    /**
+     * Charge one failed poll of the parked wait at @p now and return
+     * the next poll cycle — the one copy of both stall rules. A barrier
+     * spin issues mfspr + mask + branch (3 run cycles, one instruction)
+     * and then waits sprLat for the next SPR read; a busy FPU port
+     * costs one arbitration cycle.
+     */
+    Cycle
+    chargeParked(Cycle now)
+    {
+        if (parked_.kind == ParkedWait::Kind::BarrierSpin) {
+            const Cycle polled = now + 3;
+            accountIssue(now, 3);
+            accountWait(polled, polled + parked_.sprLat,
+                        CycleCat::BarrierWait);
+            return polled + parked_.sprLat;
+        }
+        accountWait(now, now + 1, CycleCat::FpuArb);
+        return now + 1;
+    }
 };
 
 /**
@@ -272,28 +372,42 @@ class Unit
  * per-thread limit on outstanding memory references. Each entry also
  * remembers whether it crossed the fabric, so a wait gated on a remote
  * operation is charged to RemoteWait instead of the d-cache bucket.
+ *
+ * Entries live inline for limits up to kInline (the default limit is
+ * 4); a larger limit gets one heap block of exactly that size at
+ * init(). Either way nothing is allocated on the op path.
  */
 class OutstandingMem
 {
   public:
+    static constexpr u32 kInline = 8;
+
+    OutstandingMem() = default;
+    // entries_ may point into this object.
+    OutstandingMem(const OutstandingMem &) = delete;
+    OutstandingMem &operator=(const OutstandingMem &) = delete;
+
     void
     init(u32 limit)
     {
         limit_ = limit;
-        entries_.clear();
-        entries_.reserve(limit);
+        size_ = 0;
+        spill_.assign(limit > kInline ? limit : 0, Entry{});
+        entries_ = limit > kInline ? spill_.data() : inline_;
     }
 
-    /** Drop completed operations. */
+    /** Drop completed operations; the survivors keep their order. */
     void
     prune(Cycle now)
     {
-        std::erase_if(entries_,
-                      [&](const Entry &e) { return e.done <= now; });
+        const Entry *kept =
+            std::remove_if(entries_, entries_ + size_,
+                           [&](const Entry &e) { return e.done <= now; });
+        size_ = u32(kept - entries_);
     }
 
-    bool full() const { return entries_.size() >= limit_; }
-    bool empty() const { return entries_.empty(); }
+    bool full() const { return size_ >= limit_; }
+    bool empty() const { return size_ == 0; }
 
     /** Completion time that frees the first slot. */
     Cycle earliest() const { return minEntry().done; }
@@ -307,38 +421,45 @@ class OutstandingMem
     /** Whether the operation finishing last is remote. */
     bool latestFabric() const { return maxEntry().fabric; }
 
-    void add(Cycle done, bool fabric = false)
+    /** Record one more operation; callers check full() first. */
+    void
+    add(Cycle done, bool fabric = false)
     {
-        entries_.push_back({done, fabric});
+        if (size_ >= limit_) [[unlikely]]
+            panic("outstanding-memory limit %u exceeded", limit_);
+        entries_[size_++] = {done, fabric};
     }
 
   private:
     struct Entry
     {
-        Cycle done;
-        bool fabric;
+        Cycle done = 0;
+        bool fabric = false;
     };
 
     // First-min / first-max: a deterministic tie-break when completion
     // times collide.
+    static bool
+    earlier(const Entry &a, const Entry &b)
+    {
+        return a.done < b.done;
+    }
     const Entry &
     minEntry() const
     {
-        return *std::min_element(
-            entries_.begin(), entries_.end(),
-            [](const Entry &a, const Entry &b) { return a.done < b.done; });
+        return *std::min_element(entries_, entries_ + size_, earlier);
     }
-
     const Entry &
     maxEntry() const
     {
-        return *std::max_element(
-            entries_.begin(), entries_.end(),
-            [](const Entry &a, const Entry &b) { return a.done < b.done; });
+        return *std::max_element(entries_, entries_ + size_, earlier);
     }
 
-    u32 limit_ = 4;
-    std::vector<Entry> entries_;
+    u32 limit_ = 0;
+    u32 size_ = 0;
+    Entry *entries_ = inline_;
+    Entry inline_[kInline];
+    std::vector<Entry> spill_; ///< storage for limits above kInline
 };
 
 } // namespace cyclops::arch

@@ -23,10 +23,13 @@
 #define CYCLOPS_EXEC_GUEST_H
 
 #include <coroutine>
+#include <memory>
+#include <new>
 #include <span>
-#include <vector>
+#include <type_traits>
 
 #include "arch/fpu.h"
+#include "common/log.h"
 #include "common/types.h"
 
 namespace cyclops::exec
@@ -190,6 +193,55 @@ struct MicroOp
         op.indep = indep;
         return op;
     }
+};
+
+static_assert(std::is_trivially_copyable_v<MicroOp> &&
+              std::is_trivially_destructible_v<MicroOp>);
+
+/**
+ * A batch of at most @p N micro-ops in inline storage, for
+ * GuestCtx::batch(). Only pushed ops are ever constructed — an empty
+ * batch costs no stores however large @p N is — and nothing touches
+ * the heap, so a batch built inside a coroutine lives in its frame.
+ * Exceeding @p N is a bug in the workload and panics.
+ */
+template <u32 N>
+class OpBatch
+{
+  public:
+    OpBatch() {} // leaves the storage uninitialized
+    OpBatch(const OpBatch &) = delete;
+    OpBatch &operator=(const OpBatch &) = delete;
+
+    void
+    push_back(const MicroOp &op)
+    {
+        if (size_ == N) [[unlikely]]
+            panic("OpBatch<%u> overflow", N);
+        std::construct_at(data() + size_++, op);
+    }
+
+    /** Append @p count copies of @p op. */
+    void
+    append(u32 count, const MicroOp &op)
+    {
+        for (u32 i = 0; i < count; ++i)
+            push_back(op);
+    }
+
+    MicroOp *
+    data()
+    {
+        return std::launder(reinterpret_cast<MicroOp *>(storage_));
+    }
+    u32 size() const { return size_; }
+    MicroOp &operator[](u32 i) { return data()[i]; }
+    MicroOp *begin() { return data(); }
+    MicroOp *end() { return data() + size_; }
+
+  private:
+    alignas(MicroOp) unsigned char storage_[N * sizeof(MicroOp)];
+    u32 size_ = 0;
 };
 
 /** Awaitable for one micro-op or a batch. Returned by GuestCtx. */

@@ -25,6 +25,7 @@ OpAwait::await_suspend(std::coroutine_handle<> self) noexcept
 GuestUnit::GuestUnit(ThreadId tid, arch::Chip &chip, u32 softIdx)
     : Unit(tid),
       chip_(chip),
+      fpu_(chip.fpuOf(tid)),
       softIdx_(softIdx),
       hwProto_{arch::HwBarrierProtocol(0), arch::HwBarrierProtocol(1),
                arch::HwBarrierProtocol(2), arch::HwBarrierProtocol(3)}
@@ -147,10 +148,8 @@ GuestUnit::step(Cycle now, MicroOp &op)
 
       case OpKind::Fpu: {
         Cycle resultAt = 0;
-        if (!chip_.fpuOf(tid_).dispatch(now, op.fpu, &resultAt)) {
-            accountWait(now, now + 1, CycleCat::FpuArb);
-            return {false, now + 1};
-        }
+        if (!fpu_.dispatch(now, op.fpu, &resultAt))
+            return {false, parkFpuPort(now, fpu_, op.fpu)};
         noteProgress();
         accountIssue(now, 1);
         setChain(resultAt, CycleCat::FpuArb, 0);
@@ -284,19 +283,18 @@ GuestUnit::stepHwBarrier(Cycle now, MicroOp &op)
     // The spin itself generates no progress events; only observing the
     // release does. A barrier nobody else ever enters therefore starves
     // the watchdog, which is exactly what "deadlock" means here.
-    const u8 orValue = chip_.barrier().read();
+    // Until the release, the engine re-polls the parked spin itself.
+    if (!proto.released(chip_.barrier().read()))
+        return {false,
+                parkBarrierSpin(now, proto.currentBit(), lat.sprLat)};
     accountIssue(now, 3);
-    if (proto.released(orValue)) {
-        proto.consumeRelease();
-        noteProgress();
-        Tracer &tr = chip_.tracer();
-        if (tr.on(TraceCat::Barrier))
-            tr.complete(TraceCat::Barrier, tid_, "hwBarrier", barEnterAt_,
-                        now + 3 - barEnterAt_, op.count);
-        return {true, now + 3};
-    }
-    accountWait(now + 3, now + 3 + lat.sprLat, CycleCat::BarrierWait);
-    return {false, now + 3 + lat.sprLat};
+    proto.consumeRelease();
+    noteProgress();
+    Tracer &tr = chip_.tracer();
+    if (tr.on(TraceCat::Barrier))
+        tr.complete(TraceCat::Barrier, tid_, "hwBarrier", barEnterAt_,
+                    now + 3 - barEnterAt_, op.count);
+    return {true, now + 3};
 }
 
 GuestUnit::StepResult

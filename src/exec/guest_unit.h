@@ -56,6 +56,7 @@ class GuestUnit : public arch::Unit
                              u8 bytes, u64 *inout);
 
     arch::Chip &chip_;
+    arch::Fpu &fpu_; ///< the quad's FPU
     u32 softIdx_;
 
     GuestTask top_;

@@ -24,6 +24,14 @@ Topology::Topology(const NetConfig &cfg) : cfg_(cfg)
         fatal("fabric dimensions must be nonzero");
     if (cfg.linkBytesPerCycle == 0 || cfg.maxPacketBytes == 0)
         fatal("fabric link parameters must be nonzero");
+    const u32 n = cfg.numChips();
+    if (n <= kHopTableChips) {
+        hopTable_.resize(size_t(n) * n);
+        for (u32 src = 0; src < n; ++src)
+            for (u32 dst = 0; dst < n; ++dst)
+                hopTable_[size_t(src) * n + dst] =
+                    u8(closedFormHops(src, dst));
+    }
     linkFree_.assign(size_t(cfg.numChips()) * kNumDirs, 0);
     hostFree_.assign(cfg.numChips(), 0);
     stats_.addCounter("net.messages", &messages_);
@@ -87,13 +95,17 @@ Topology::route(u32 src, u32 dst) const
     return path;
 }
 
-u32
-Topology::hops(u32 src, u32 dst) const
+void
+Topology::endpointsOutside() const
 {
-    if (src >= cfg_.numChips() || dst >= cfg_.numChips())
-        fatal("route endpoints outside the system");
-    // Closed form of route(src, dst).size(): per axis, the line
-    // distance on a mesh, the shorter way around on a torus.
+    fatal("route endpoints outside the system");
+}
+
+u32
+Topology::closedFormHops(u32 src, u32 dst) const
+{
+    // route(src, dst).size() without building the route: per axis, the
+    // line distance on a mesh, the shorter way around on a torus.
     const Coord a = coordOf(src);
     const Coord b = coordOf(dst);
     auto axis = [&](u32 from, u32 to, u32 dim) {

@@ -121,8 +121,24 @@ class Topology
      */
     std::vector<std::pair<u32, Dir>> route(u32 src, u32 dst) const;
 
-    /** Number of hops between two chips under the routing above. */
-    u32 hops(u32 src, u32 dst) const;
+    /**
+     * Number of hops between two chips under the routing above: one
+     * load from a per-pair table built at construction for systems of
+     * up to kHopTableChips chips, the closed form beyond.
+     */
+    u32
+    hops(u32 src, u32 dst) const
+    {
+        const u32 n = cfg_.numChips();
+        if (src >= n || dst >= n) [[unlikely]]
+            endpointsOutside();
+        if (hopTable_.empty()) [[unlikely]]
+            return closedFormHops(src, dst);
+        return hopTable_[size_t(src) * n + dst];
+    }
+
+    /** Largest system whose hop counts are tabulated (256 x 256 B). */
+    static constexpr u32 kHopTableChips = 256;
 
     /** Whether the directed link (chip, dir) physically exists: its
      *  axis extent is > 1, the chip is not at a mesh edge, and it is
@@ -180,8 +196,13 @@ class Topology
   private:
     u32 linkIndex(u32 chip, Dir dir) const;
     s32 step(u32 from, u32 to, u32 dim) const;
+    u32 closedFormHops(u32 src, u32 dst) const;
+    [[noreturn]] void endpointsOutside() const;
 
     NetConfig cfg_;
+    /// hops(src, dst) at [src * numChips + dst]; a route within 256
+    /// chips has at most 255 hops, so a byte holds any entry.
+    std::vector<u8> hopTable_;
     std::vector<Cycle> linkFree_; ///< chip x direction occupancy
     std::vector<Cycle> hostFree_; ///< per-chip host link
     StatGroup stats_;

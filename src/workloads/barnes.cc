@@ -32,6 +32,7 @@ using arch::kIgDefault;
 using exec::GuestCtx;
 using exec::GuestTask;
 using exec::MicroOp;
+using exec::OpBatch;
 
 constexpr double kTheta = 0.6;
 constexpr double kSoftening = 1e-3;
@@ -225,7 +226,7 @@ buildTree(GuestCtx &ctx, BarnesWorld &w)
     for (u32 i = 0; i < w.host.nodes.size(); ++i) {
         const HostTree::Node &n = w.host.nodes[i];
         const Addr at = w.node(i);
-        std::vector<MicroOp> stores;
+        OpBatch<13> stores;
         stores.push_back(MicroOp::store(at, toB(n.mass), 8, true));
         stores.push_back(MicroOp::store(at + 8, toB(n.cx), 8, true));
         stores.push_back(MicroOp::store(at + 16, toB(n.cy), 8, true));
@@ -252,7 +253,7 @@ forcePhase(GuestCtx &ctx, BarnesWorld &w, u32 me)
         w.host.accel(b, w.px, w.py, w.pz, &ax, &ay, &az, &visits);
 
         // Body position loads.
-        std::vector<MicroOp> loads;
+        OpBatch<3> loads;
         loads.push_back(MicroOp::load(w.body3(w.pos, b), 8, true));
         loads.push_back(MicroOp::load(w.body3(w.pos, b) + 8, 8, true));
         loads.push_back(MicroOp::load(w.body3(w.pos, b) + 16, 8, true));
@@ -272,16 +273,14 @@ forcePhase(GuestCtx &ctx, BarnesWorld &w, u32 me)
             const Addr shared = w.node(nodeIdx);
             const Addr at = nodeIdx < kHotNodes ? arch::igPhys(shared)
                                                 : shared;
-            std::vector<MicroOp> nodeLoads;
+            OpBatch<5> nodeLoads;
             for (u32 f = 0; f < 5; ++f)
                 nodeLoads.push_back(MicroOp::load(at + f * 8, 8, true));
             co_await ctx.batch(nodeLoads);
             // Opening test: 3 subtracts, 3 multiplies, compares.
-            std::vector<MicroOp> flops;
-            flops.insert(flops.end(), 3,
-                         MicroOp::fpuOp(FpuOp::Add, true));
-            flops.insert(flops.end(), 4,
-                         MicroOp::fpuOp(FpuOp::Mul, true));
+            OpBatch<7> flops;
+            flops.append(3, MicroOp::fpuOp(FpuOp::Add, true));
+            flops.append(4, MicroOp::fpuOp(FpuOp::Mul, true));
             co_await ctx.batch(flops);
             co_await ctx.alu(3);
             if (accepted) {
@@ -292,14 +291,14 @@ forcePhase(GuestCtx &ctx, BarnesWorld &w, u32 me)
                 // divide-weak machines, the kernel uses a Newton-
                 // Raphson reciprocal square root on the pipelined
                 // multiply/add datapath instead.
-                std::vector<MicroOp> rsqrt(
-                    4, MicroOp::fpuOp(FpuOp::Mul, true));
+                OpBatch<4> rsqrt;
+                rsqrt.append(4, MicroOp::fpuOp(FpuOp::Mul, true));
                 co_await ctx.batch(rsqrt);
-                std::vector<MicroOp> fmas(
-                    8, MicroOp::fpuOp(FpuOp::Fma, true));
+                OpBatch<8> fmas;
+                fmas.append(8, MicroOp::fpuOp(FpuOp::Fma, true));
                 co_await ctx.batch(fmas);
             } else {
-                std::vector<MicroOp> kids;
+                OpBatch<8> kids;
                 for (u32 c = 0; c < 8; ++c)
                     kids.push_back(
                         MicroOp::load(at + 40 + c * 4, 4, true));
@@ -307,7 +306,7 @@ forcePhase(GuestCtx &ctx, BarnesWorld &w, u32 me)
             }
         }
 
-        std::vector<MicroOp> stores;
+        OpBatch<3> stores;
         stores.push_back(
             MicroOp::store(w.body3(w.acc, b), toB(ax), 8, true));
         stores.push_back(
@@ -322,7 +321,7 @@ GuestTask
 updatePhase(GuestCtx &ctx, BarnesWorld &w, detail::Range mine)
 {
     for (u32 b = mine.begin; b < mine.end; ++b) {
-        std::vector<MicroOp> loads;
+        OpBatch<9> loads;
         for (u32 f = 0; f < 3; ++f) {
             loads.push_back(
                 MicroOp::load(w.body3(w.vel, b) + f * 8, 8, true));
@@ -332,12 +331,13 @@ updatePhase(GuestCtx &ctx, BarnesWorld &w, detail::Range mine)
                 MicroOp::load(w.body3(w.pos, b) + f * 8, 8, true));
         }
         co_await ctx.batch(loads);
-        std::vector<MicroOp> fmas(6, MicroOp::fpuOp(FpuOp::Fma, true));
+        OpBatch<6> fmas;
+        fmas.append(6, MicroOp::fpuOp(FpuOp::Fma, true));
         co_await ctx.batch(fmas);
 
         double *vs[3] = {&w.vx[b], &w.vy[b], &w.vz[b]};
         double *ps[3] = {&w.px[b], &w.py[b], &w.pz[b]};
-        std::vector<MicroOp> stores;
+        OpBatch<6> stores;
         for (u32 f = 0; f < 3; ++f) {
             double a;
             std::memcpy(&a, &loads[3 * f + 1].result, 8);

@@ -35,6 +35,7 @@ using arch::kIgDefault;
 using exec::GuestCtx;
 using exec::GuestTask;
 using exec::MicroOp;
+using exec::OpBatch;
 using arch::FpuOp;
 using detail::splitRange;
 using Complex = std::complex<double>;
@@ -83,7 +84,7 @@ transposeRows(GuestCtx &ctx, FftWorld &w, Addr src, Addr dst,
         for (u32 c = 0; c < n; c += 4) {
             // Gather four column elements (strided, mostly remote), then
             // write them contiguously into our row.
-            std::vector<MicroOp> loads, stores;
+            OpBatch<8> loads, stores;
             for (u32 k = 0; k < 4; ++k) {
                 const Addr from = cplx(src, (c + k) * n + r);
                 loads.push_back(MicroOp::load(from, 8, true));
@@ -116,13 +117,13 @@ rowFft(GuestCtx &ctx, FftWorld &w, Addr row)
         for (u32 b = 0; b < logn; ++b)
             j |= ((i >> b) & 1) << (logn - 1 - b);
         if (i < j) {
-            std::vector<MicroOp> loads;
+            OpBatch<4> loads;
             loads.push_back(MicroOp::load(cplx(row, i), 8, true));
             loads.push_back(MicroOp::load(cplx(row, i) + 8, 8, true));
             loads.push_back(MicroOp::load(cplx(row, j), 8, true));
             loads.push_back(MicroOp::load(cplx(row, j) + 8, 8, true));
             co_await ctx.batch(loads);
-            std::vector<MicroOp> stores;
+            OpBatch<4> stores;
             stores.push_back(MicroOp::store(cplx(row, j),
                                             loads[0].result, 8, true));
             stores.push_back(MicroOp::store(cplx(row, j) + 8,
@@ -145,7 +146,7 @@ rowFft(GuestCtx &ctx, FftWorld &w, Addr row)
         const u32 step = n / m; // root stride for this stage
         for (u32 j = 0; j < half; ++j) {
             const Addr wAddr = cplx(w.roots, j * step);
-            std::vector<MicroOp> wLoads;
+            OpBatch<2> wLoads;
             wLoads.push_back(MicroOp::load(wAddr, 8, true));
             wLoads.push_back(MicroOp::load(wAddr + 8, 8, true));
             co_await ctx.batch(wLoads);
@@ -156,7 +157,7 @@ rowFft(GuestCtx &ctx, FftWorld &w, Addr row)
                 const Addr aAddr = cplx(row, k + j);
                 const Addr bAddr = cplx(row, k + j + half);
 
-                std::vector<MicroOp> loads;
+                OpBatch<4> loads;
                 loads.push_back(MicroOp::load(aAddr, 8, true));
                 loads.push_back(MicroOp::load(aAddr + 8, 8, true));
                 loads.push_back(MicroOp::load(bAddr, 8, true));
@@ -168,16 +169,14 @@ rowFft(GuestCtx &ctx, FftWorld &w, Addr row)
                 const double bi = bitsToDouble(loads[3].result);
 
                 // t = w * b: 4 multiplies and 6 adds/subtracts.
-                std::vector<MicroOp> flops;
-                flops.insert(flops.end(), 4,
-                             MicroOp::fpuOp(FpuOp::Mul, true));
-                flops.insert(flops.end(), 6,
-                             MicroOp::fpuOp(FpuOp::Add, true));
+                OpBatch<10> flops;
+                flops.append(4, MicroOp::fpuOp(FpuOp::Mul, true));
+                flops.append(6, MicroOp::fpuOp(FpuOp::Add, true));
                 co_await ctx.batch(flops);
                 const double tr = wr * br - wi * bi;
                 const double ti = wr * bi + wi * br;
 
-                std::vector<MicroOp> stores;
+                OpBatch<4> stores;
                 stores.push_back(MicroOp::store(
                     aAddr, doubleToBits(ar + tr), 8, true));
                 stores.push_back(MicroOp::store(
@@ -201,7 +200,7 @@ twiddleRow(GuestCtx &ctx, FftWorld &w, u32 r)
     for (u32 c = 0; c < n; ++c) {
         const Addr vAddr = cplx(w.m1, r * n + c);
         const Addr wAddr = cplx(w.twiddle, r * n + c);
-        std::vector<MicroOp> loads;
+        OpBatch<4> loads;
         loads.push_back(MicroOp::load(vAddr, 8, true));
         loads.push_back(MicroOp::load(vAddr + 8, 8, true));
         loads.push_back(MicroOp::load(wAddr, 8, true));
@@ -212,12 +211,14 @@ twiddleRow(GuestCtx &ctx, FftWorld &w, u32 r)
         const double wr = bitsToDouble(loads[2].result);
         const double wi = bitsToDouble(loads[3].result);
 
-        std::vector<MicroOp> muls(4, MicroOp::fpuOp(FpuOp::Mul, true));
+        OpBatch<4> muls;
+        muls.append(4, MicroOp::fpuOp(FpuOp::Mul, true));
         co_await ctx.batch(muls);
-        std::vector<MicroOp> adds(2, MicroOp::fpuOp(FpuOp::Add, true));
+        OpBatch<2> adds;
+        adds.append(2, MicroOp::fpuOp(FpuOp::Add, true));
         co_await ctx.batch(adds);
 
-        std::vector<MicroOp> stores;
+        OpBatch<2> stores;
         stores.push_back(MicroOp::store(
             vAddr, doubleToBits(vr * wr - vi * wi), 8, true));
         stores.push_back(MicroOp::store(

@@ -38,6 +38,7 @@ using arch::kIgDefault;
 using exec::GuestCtx;
 using exec::GuestTask;
 using exec::MicroOp;
+using exec::OpBatch;
 using Complex = std::complex<double>;
 
 constexpr u32 kOrder = 8;   ///< expansion terms beyond the monopole
@@ -345,11 +346,11 @@ toB(double v)
     return raw;
 }
 
-/** Charge a batch of @p n coefficient loads at @p base. */
+/** Charge a batch of @p n <= kCoeffs coefficient loads at @p base. */
 GuestTask
 chargeCoeffLoads(GuestCtx &ctx, Addr base, u32 n)
 {
-    std::vector<MicroOp> loads;
+    OpBatch<2 * kCoeffs> loads;
     for (u32 k = 0; k < n; ++k) {
         loads.push_back(MicroOp::load(base + k * 16, 8, true));
         loads.push_back(MicroOp::load(base + k * 16 + 8, 8, true));
@@ -361,7 +362,7 @@ GuestTask
 chargeCoeffStores(GuestCtx &ctx, FmmWorld &w,
                   const std::vector<Addr> &arena, u32 level, u32 cell)
 {
-    std::vector<MicroOp> stores;
+    OpBatch<2 * kCoeffs> stores;
     const Complex *values = &arena == &w.mult
                                 ? w.host.m(level, cell)
                                 : w.host.loc(level, cell);
@@ -378,12 +379,13 @@ chargeCoeffStores(GuestCtx &ctx, FmmWorld &w,
 GuestTask
 chargeFlops(GuestCtx &ctx, u32 muls, u32 adds)
 {
+    constexpr u32 kChunk = 16; // multiplies (and adds) per batch
     while (muls || adds) {
-        std::vector<MicroOp> flops;
-        const u32 m = std::min(muls, 16u);
-        const u32 a = std::min(adds, 16u);
-        flops.insert(flops.end(), m, MicroOp::fpuOp(FpuOp::Mul, true));
-        flops.insert(flops.end(), a, MicroOp::fpuOp(FpuOp::Add, true));
+        OpBatch<2 * kChunk> flops;
+        const u32 m = std::min(muls, kChunk);
+        const u32 a = std::min(adds, kChunk);
+        flops.append(m, MicroOp::fpuOp(FpuOp::Mul, true));
+        flops.append(a, MicroOp::fpuOp(FpuOp::Add, true));
         co_await ctx.batch(flops);
         muls -= m;
         adds -= a;
@@ -402,7 +404,7 @@ fmmWorker(GuestCtx &ctx, FmmWorld &w)
             HostFmm::cells(kDepth), w.threads, me);
         for (u32 cell = mine.begin; cell < mine.end; ++cell) {
             for (u32 p : h.leafOf[cell]) {
-                std::vector<MicroOp> loads;
+                OpBatch<2> loads;
                 loads.push_back(MicroOp::load(w.pos + p * 16, 8, true));
                 loads.push_back(
                     MicroOp::load(w.pos + p * 16 + 8, 8, true));
@@ -495,7 +497,7 @@ fmmWorker(GuestCtx &ctx, FmmWorld &w)
                         // Positions are read-only: replicate locally.
                         const Addr spos =
                             arch::igPhys(w.pos + s * 16);
-                        std::vector<MicroOp> loads;
+                        OpBatch<2> loads;
                         loads.push_back(MicroOp::load(spos, 8, true));
                         loads.push_back(
                             MicroOp::load(spos + 8, 8, true));
@@ -504,13 +506,10 @@ fmmWorker(GuestCtx &ctx, FmmWorld &w)
                         // table-plus-polynomial evaluation on the
                         // pipelined units (the shared divide/sqrt unit
                         // would serialize the whole quad).
-                        std::vector<MicroOp> flops;
-                        flops.insert(flops.end(), 3,
-                                     MicroOp::fpuOp(FpuOp::Add, true));
-                        flops.insert(flops.end(), 2,
-                                     MicroOp::fpuOp(FpuOp::Mul, true));
-                        flops.insert(flops.end(), 4,
-                                     MicroOp::fpuOp(FpuOp::Fma, true));
+                        OpBatch<9> flops;
+                        flops.append(3, MicroOp::fpuOp(FpuOp::Add, true));
+                        flops.append(2, MicroOp::fpuOp(FpuOp::Mul, true));
+                        flops.append(4, MicroOp::fpuOp(FpuOp::Fma, true));
                         co_await ctx.batch(flops);
                         co_await ctx.alu(2);
                     }

@@ -32,6 +32,7 @@ using arch::kIgDefault;
 using exec::GuestCtx;
 using exec::GuestTask;
 using exec::MicroOp;
+using exec::OpBatch;
 
 constexpr u32 kBlock = 16;
 
@@ -89,7 +90,7 @@ factorDiag(GuestCtx &ctx, LuWorld &w, u32 k)
             const u32 rest = kBlock - j - 1;
             if (rest == 0)
                 continue;
-            std::vector<MicroOp> loads;
+            OpBatch<2 * kBlock> loads;
             for (u32 jj = j + 1; jj < kBlock; ++jj) {
                 loads.push_back(
                     MicroOp::load(w.elem(prow, base + jj), 8, true));
@@ -97,10 +98,10 @@ factorDiag(GuestCtx &ctx, LuWorld &w, u32 k)
                     MicroOp::load(w.elem(row, base + jj), 8, true));
             }
             co_await ctx.batch(loads);
-            std::vector<MicroOp> fmas(rest,
-                                      MicroOp::fpuOp(FpuOp::Fma, true));
+            OpBatch<kBlock> fmas;
+            fmas.append(rest, MicroOp::fpuOp(FpuOp::Fma, true));
             co_await ctx.batch(fmas);
-            std::vector<MicroOp> stores;
+            OpBatch<kBlock> stores;
             for (u32 t = 0; t < rest; ++t) {
                 const double upper = toD(loads[2 * t].result);
                 const double mine = toD(loads[2 * t + 1].result);
@@ -122,7 +123,7 @@ solveColBlock(GuestCtx &ctx, LuWorld &w, u32 bi, u32 k)
     for (u32 r = 0; r < kBlock; ++r) {
         for (u32 j = 0; j < kBlock; ++j) {
             // a[r][j] = (a[r][j] - sum_{t<j} a[r][t]*d[t][j]) / d[j][j]
-            std::vector<MicroOp> loads;
+            OpBatch<2 * kBlock> loads;
             loads.push_back(
                 MicroOp::load(w.elem(rbase + r, cbase + j), 8, true));
             loads.push_back(
@@ -137,8 +138,8 @@ solveColBlock(GuestCtx &ctx, LuWorld &w, u32 bi, u32 k)
             }
             co_await ctx.batch(loads);
             if (j > 0) {
-                std::vector<MicroOp> fmas(
-                    j, MicroOp::fpuOp(FpuOp::Fma, true));
+                OpBatch<kBlock> fmas;
+                fmas.append(j, MicroOp::fpuOp(FpuOp::Fma, true));
                 co_await ctx.batch(fmas);
             }
             co_await ctx.fpu(FpuOp::Div);
@@ -166,7 +167,7 @@ solveRowBlock(GuestCtx &ctx, LuWorld &w, u32 k, u32 bj)
                 co_await ctx.alu(2);
                 continue;
             }
-            std::vector<MicroOp> loads;
+            OpBatch<2 * kBlock> loads;
             loads.push_back(
                 MicroOp::load(w.elem(rbase + r, cbase + c), 8, true));
             for (u32 t = 0; t < r; ++t) {
@@ -178,8 +179,8 @@ solveRowBlock(GuestCtx &ctx, LuWorld &w, u32 k, u32 bj)
                                   true));
             }
             co_await ctx.batch(loads);
-            std::vector<MicroOp> fmas(r, MicroOp::fpuOp(FpuOp::Fma,
-                                                        true));
+            OpBatch<kBlock> fmas;
+            fmas.append(r, MicroOp::fpuOp(FpuOp::Fma, true));
             co_await ctx.batch(fmas);
             double acc = toD(loads[0].result);
             for (u32 t = 0; t < r; ++t)
@@ -201,7 +202,7 @@ gemmBlock(GuestCtx &ctx, LuWorld &w, u32 bi, u32 bj, u32 k)
     const u32 kbase = k * kBlock;
     for (u32 r = 0; r < kBlock; ++r) {
         // Load this row of A(bi,k) once.
-        std::vector<MicroOp> rowLoads;
+        OpBatch<kBlock> rowLoads;
         for (u32 t = 0; t < kBlock; ++t)
             rowLoads.push_back(
                 MicroOp::load(w.elem(rbase + r, kbase + t), 8, true));
@@ -211,7 +212,7 @@ gemmBlock(GuestCtx &ctx, LuWorld &w, u32 bi, u32 bj, u32 k)
             lrow[t] = toD(rowLoads[t].result);
 
         for (u32 c = 0; c < kBlock; ++c) {
-            std::vector<MicroOp> colLoads;
+            OpBatch<kBlock + 1> colLoads;
             colLoads.push_back(
                 MicroOp::load(w.elem(rbase + r, cbase + c), 8, true));
             for (u32 t = 0; t < kBlock; ++t)
@@ -219,8 +220,8 @@ gemmBlock(GuestCtx &ctx, LuWorld &w, u32 bi, u32 bj, u32 k)
                     MicroOp::load(w.elem(kbase + t, cbase + c), 8,
                                   true));
             co_await ctx.batch(colLoads);
-            std::vector<MicroOp> fmas(kBlock,
-                                      MicroOp::fpuOp(FpuOp::Fma, true));
+            OpBatch<kBlock> fmas;
+            fmas.append(kBlock, MicroOp::fpuOp(FpuOp::Fma, true));
             co_await ctx.batch(fmas);
             double acc = toD(colLoads[0].result);
             for (u32 t = 0; t < kBlock; ++t)

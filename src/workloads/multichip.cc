@@ -259,15 +259,15 @@ streamThread(exec::GuestCtx &ctx, const StreamWorld &w)
 
     for (u32 j = s.begin; j < s.end; j += kBatch) {
         const u32 m = std::min(kBatch, s.end - j);
-        std::array<exec::MicroOp, kBatch> ops;
+        exec::OpBatch<kBatch> ops;
         for (u32 k = 0; k < m; ++k) {
             const u32 off = kStreamOff + (j + k) * 8;
             const Addr ea =
                 remote ? remoteEa(kIgDefault, u32(w.src), off)
                        : igAddr(kIgDefault, w.windowBase + off);
-            ops[k] = exec::MicroOp::load(ea, 8, true);
+            ops.push_back(exec::MicroOp::load(ea, 8, true));
         }
-        co_await ctx.batch(std::span<exec::MicroOp>(ops.data(), m));
+        co_await ctx.batch(ops);
         for (u32 k = 0; k < m; ++k) {
             co_await ctx.fpu(arch::FpuOp::Mul);
             const double b = std::bit_cast<double>(ops[k].result);

@@ -32,6 +32,7 @@ using arch::kIgDefault;
 using exec::GuestCtx;
 using exec::GuestTask;
 using exec::MicroOp;
+using exec::OpBatch;
 
 constexpr u32 kIterations = 6;
 constexpr double kOmega = 1.5;
@@ -68,18 +69,16 @@ sweepColor(GuestCtx &ctx, OceanWorld &w, detail::Range rows, u32 color)
 {
     for (u32 i = rows.begin; i < rows.end; ++i) {
         for (u32 j = 1 + ((i + color) & 1); j < w.g - 1; j += 2) {
-            std::vector<MicroOp> loads;
+            OpBatch<5> loads;
             loads.push_back(MicroOp::load(w.at(i, j), 8, true));
             loads.push_back(MicroOp::load(w.at(i - 1, j), 8, true));
             loads.push_back(MicroOp::load(w.at(i + 1, j), 8, true));
             loads.push_back(MicroOp::load(w.at(i, j - 1), 8, true));
             loads.push_back(MicroOp::load(w.at(i, j + 1), 8, true));
             co_await ctx.batch(loads);
-            std::vector<MicroOp> flops;
-            flops.insert(flops.end(), 4,
-                         MicroOp::fpuOp(FpuOp::Add, true));
-            flops.insert(flops.end(), 2,
-                         MicroOp::fpuOp(FpuOp::Mul, true));
+            OpBatch<6> flops;
+            flops.append(4, MicroOp::fpuOp(FpuOp::Add, true));
+            flops.append(2, MicroOp::fpuOp(FpuOp::Mul, true));
             co_await ctx.batch(flops);
             const double center = toD(loads[0].result);
             const double sum = toD(loads[1].result) +

@@ -33,6 +33,7 @@ using arch::kIgDefault;
 using exec::GuestCtx;
 using exec::GuestTask;
 using exec::MicroOp;
+using exec::OpBatch;
 
 constexpr u32 kDigitBits = 8;
 constexpr u32 kRadix = 1u << kDigitBits;
@@ -72,9 +73,10 @@ radixWorker(GuestCtx &ctx, RadixWorld &w)
         // --- Local histogram ------------------------------------------
         for (u32 d = 0; d < kRadix; ++d)
             co_await ctx.store(w.counter(me, d), 0, 4);
-        for (u32 i = mine.begin; i < mine.end; i += 8) {
-            const u32 chunk = std::min(8u, mine.end - i);
-            std::vector<MicroOp> loads;
+        constexpr u32 kChunk = 8; // keys loaded per batch
+        for (u32 i = mine.begin; i < mine.end; i += kChunk) {
+            const u32 chunk = std::min(kChunk, mine.end - i);
+            OpBatch<kChunk> loads;
             for (u32 k = 0; k < chunk; ++k)
                 loads.push_back(MicroOp::load(w.key(src, i + k), 4,
                                               true));

@@ -542,3 +542,41 @@ TEST(Heap, ExhaustionDies)
         },
         "");
 }
+
+// ---------------------------------------------------------------------------
+// OutstandingMem: inline and spilled storage.
+// ---------------------------------------------------------------------------
+
+TEST(OutstandingMem, TieBreaksAndPruneOrderAtEveryLimit)
+{
+    // Limits inside and beyond the inline capacity behave alike:
+    // first-min / first-max among equal completion times, and pruning
+    // keeps the survivors' order.
+    for (u32 limit : {4u, OutstandingMem::kInline, 12u}) {
+        SCOPED_TRACE(limit);
+        OutstandingMem mem;
+        mem.init(limit);
+        EXPECT_TRUE(mem.empty());
+        for (u32 i = 0; i < limit; ++i) {
+            EXPECT_FALSE(mem.full());
+            // Completion times 20, 9, 20, 9, ... with alternating
+            // fabric flags; the remote ones come first.
+            mem.add(i % 2 ? 9 : 20, i % 4 < 2);
+        }
+        EXPECT_TRUE(mem.full());
+        EXPECT_EQ(mem.earliest(), 9u);
+        EXPECT_TRUE(mem.earliestFabric()); // entry 1, not entry 3
+        EXPECT_EQ(mem.latest(), 20u);
+        EXPECT_TRUE(mem.latestFabric()); // entry 0, not entry 2
+        mem.prune(9);
+        EXPECT_FALSE(mem.full());
+        EXPECT_EQ(mem.earliest(), 20u);
+        EXPECT_TRUE(mem.earliestFabric()); // entry 0 kept its place
+        mem.add(30, false);
+        mem.add(30, true);
+        EXPECT_EQ(mem.latest(), 30u);
+        EXPECT_FALSE(mem.latestFabric());
+        mem.prune(30);
+        EXPECT_TRUE(mem.empty());
+    }
+}

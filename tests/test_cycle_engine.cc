@@ -169,8 +169,8 @@ TEST(CycleEngine, CycleLimitStopsAndResumes)
 // ---------------------------------------------------------------------------
 // Service order: which unit ticks when, and in which order within a
 // cycle. Every frontend's shared-resource arbitration (ports, banks,
-// FPUs) rides on this order, so any change to the wheel, the now+1
-// ready list or the rotation must reproduce it exactly.
+// FPUs) rides on this order, so any change to the wheel, the far
+// heap or the rotation must reproduce it exactly.
 // ---------------------------------------------------------------------------
 
 namespace
@@ -343,6 +343,80 @@ TEST(CycleEngine, ServiceOrderMatchesParent)
                   "7:20 7:21 7:0 7:22 7:1 8:20 8:21 8:0 8:22 9:1 9:0 "
                   "9:22 10:0 | now=11 cycles=11");
     }
+}
+
+TEST(CycleEngine, ActivatingAQueuedUnitPanics)
+{
+    // Queueing a unit twice would serve it twice per wake (and could
+    // overflow its wheel row): activate() refuses.
+    EXPECT_DEATH(
+        {
+            Chip chip;
+            std::string log;
+            install(chip, &log, 0, everyN(3, 1));
+            chip.activate(0);
+            chip.activate(0, 5);
+        },
+        "already queued");
+}
+
+namespace
+{
+
+/**
+ * A unit that spins on wired-OR bit 0 like a GuestUnit hardware
+ * barrier: each failed poll parks, and the engine re-polls it.
+ */
+class SpinUnit : public Unit
+{
+  public:
+    SpinUnit(ThreadId tid, Chip &chip) : Unit(tid), chip_(chip) {}
+
+    Cycle
+    tick(Cycle now) override
+    {
+        ++ticks;
+        if (chip_.barrier().read() & 1)
+            return parkBarrierSpin(now, 1, 2);
+        markHalted();
+        return kCycleNever;
+    }
+
+    u32 ticks = 0;
+
+  private:
+    Chip &chip_;
+};
+
+} // namespace
+
+TEST(CycleEngine, ParkedSpinIsPolledWithoutTick)
+{
+    // Unit 5 holds wired-OR bit 0 until its tick at cycle 50. Unit 0
+    // polls every 3 + sprLat(2) cycles: the engine charges the polls
+    // at 1, 6, ..., 46 itself and ticks the unit again only at 51,
+    // once the bit has dropped.
+    Chip chip;
+    std::string log;
+    chip.barrier().write(5, 1);
+    install(chip, &log, 5, [&chip](Cycle now, u32 k) {
+        if (k == 1)
+            chip.barrier().write(5, 0);
+        return k == 0 ? Cycle(50) : kCycleNever;
+    });
+    auto spin = std::make_unique<SpinUnit>(0, chip);
+    SpinUnit *raw = spin.get();
+    chip.setUnit(0, std::move(spin));
+    chip.activate(0);
+    chip.activate(5);
+    EXPECT_EQ(chip.run(), RunExit::AllHalted);
+    EXPECT_EQ(raw->ticks, 2u);
+    EXPECT_EQ(raw->instructions(), 10u);
+    EXPECT_EQ(raw->runCycles(), 30u);
+    EXPECT_EQ(raw->catCycles(CycleCat::BarrierWait), 20u);
+    EXPECT_EQ(raw->firstChargeAt(), 1u);
+    EXPECT_EQ(raw->lastChargeEnd(), 51u);
+    EXPECT_FALSE(raw->parked());
 }
 
 // ---------------------------------------------------------------------------

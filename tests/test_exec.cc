@@ -10,9 +10,11 @@
 #include <bit>
 
 #include "arch/chip.h"
+#include "common/log.h"
 #include "exec/barriers.h"
 #include "exec/engine.h"
 #include "exec/guest_unit.h"
+#include "verify/digest.h"
 
 using namespace cyclops;
 using namespace cyclops::exec;
@@ -334,4 +336,182 @@ TEST(Barriers, ProtocolRoleSwap)
     reg = proto.enterValue(reg);
     EXPECT_EQ(reg, 1u << 4); // roles swapped
     EXPECT_FALSE(proto.released(1u << 5));
+}
+
+// ---------------------------------------------------------------------------
+// Result-stream pin of the execution-driven frontend.
+// ---------------------------------------------------------------------------
+
+namespace
+{
+
+/** Shared state of the pinned guest mix. */
+struct PinShared
+{
+    Addr buf = 0;      ///< 4 KB of shared data
+    Addr counters = 0; ///< 16 atomic words
+    CentralBarrier central;
+    TreeBarrier tree;
+    u32 rounds = 0;
+    u64 seed = 0;
+};
+
+u64
+pinNext(u64 &state)
+{
+    // splitmix64
+    u64 z = (state += 0x9E3779B97F4A7C15ull);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
+}
+
+/**
+ * One thread of the pinned mix: every OpKind as single ops and in
+ * batches (more independent loads than the outstanding-memory limit,
+ * so mem_.full() stalls), dependent loads that stall the chain, a
+ * per-round FPU burst that makes the four threads of a quad collide
+ * on their FPU's ports, and a rotation of hardware, central and tree
+ * barriers.
+ */
+GuestTask
+pinBody(GuestCtx &ctx, PinShared &s)
+{
+    u64 rng = s.seed * 0x100000001B3ull + ctx.index();
+    u32 hwId = 0;
+    for (u32 r = 0; r < s.rounds; ++r) {
+        const u32 nOps = 4 + u32(pinNext(rng) % 8);
+        for (u32 k = 0; k < nOps; ++k) {
+            const u64 x = pinNext(rng);
+            const Addr ea = s.buf + Addr((x >> 8) % 512) * 8;
+            const Addr word = s.counters + Addr((x >> 20) % 16) * 4;
+            switch (x % 10) {
+              case 0: {
+                const u64 v = co_await ctx.load(ea, 8);
+                co_await ctx.alu(1 + u32(v & 1));
+                break;
+              }
+              case 1:
+                co_await ctx.store(ea, x, 8);
+                break;
+              case 2:
+                co_await ctx.amoadd(word, 1);
+                break;
+              case 3:
+                co_await ctx.amoswap(word, u32(x >> 32));
+                break;
+              case 4:
+                co_await ctx.amocas(word, u32(x >> 40) & 3, u32(x >> 44));
+                break;
+              case 5:
+                co_await ctx.fpu(FpuOp((x >> 4) % 5));
+                break;
+              case 6:
+                co_await ctx.alu(u32((x >> 4) % 4), ((x >> 6) & 1) != 0);
+                break;
+              case 7:
+                co_await ctx.branch();
+                break;
+              case 8:
+                co_await ctx.sync();
+                break;
+              default: {
+                std::vector<MicroOp> ops;
+                const u32 n = 1 + u32((x >> 4) % 12);
+                u64 y = x;
+                for (u32 i = 0; i < n; ++i) {
+                    y = pinNext(rng);
+                    const Addr at = s.buf + Addr((y >> 8) % 512) * 8;
+                    const bool indep = ((y >> 3) & 3) != 0;
+                    switch (y % 4) {
+                      case 0:
+                      case 1:
+                        ops.push_back(MicroOp::load(at, 8, indep));
+                        break;
+                      case 2:
+                        ops.push_back(MicroOp::store(at, y, 8, indep));
+                        break;
+                      default:
+                        ops.push_back(
+                            MicroOp::fpuOp(FpuOp((y >> 5) % 5), indep));
+                        break;
+                    }
+                }
+                co_await ctx.batch(ops);
+                break;
+              }
+            }
+        }
+
+        std::vector<MicroOp> burst;
+        for (FpuOp op : {FpuOp::Fma, FpuOp::Fma, FpuOp::Div, FpuOp::Fma,
+                         FpuOp::Mul, FpuOp::Add, FpuOp::Sqrt})
+            burst.push_back(MicroOp::fpuOp(op, true));
+        co_await ctx.batch(burst);
+
+        switch (r % 3) {
+          case 0:
+            co_await ctx.hwBarrier(hwId);
+            hwId ^= 1;
+            break;
+          case 1:
+            co_await ctx.swBarrier(s.central);
+            break;
+          default:
+            co_await ctx.swBarrier(s.tree);
+            break;
+        }
+    }
+}
+
+/**
+ * FNV-1a over what the pinned mix leaves behind: each TU's attribution
+ * (every category and sleep), instructions, D-cache hits and misses
+ * and progress events, every FPU's port conflicts, and the cycle count.
+ */
+u64
+execResultStream(u32 threads, u64 seed)
+{
+    World w;
+    PinShared s;
+    s.buf = igAddr(kIgDefault, w.engine.heap().alloc(4096, 64));
+    s.counters = igAddr(kIgDefault, w.engine.heap().alloc(64, 64));
+    s.central.init(w.engine.heap(), threads);
+    s.tree.init(w.engine.heap(), threads);
+    s.rounds = 30;
+    s.seed = seed;
+    w.engine.spawn(threads,
+                   [&s](GuestCtx &ctx) { return pinBody(ctx, s); });
+    EXPECT_EQ(w.engine.run(100'000'000), arch::RunExit::AllHalted);
+
+    const Chip &chip = w.chip;
+    u64 h = verify::kFnvOffset;
+    auto fold = [&h](u64 v) { h = verify::fnv1a(&v, sizeof v, h); };
+    for (ThreadId tid = 0; tid < chip.config().numThreads; ++tid) {
+        const arch::Unit *u = chip.unit(tid);
+        if (!u)
+            continue;
+        const arch::CycleBreakdown b = chip.attribution(tid);
+        for (u32 c = 0; c <= arch::kNumCycleCats; ++c)
+            fold(b.value(c));
+        fold(u->instructions());
+        fold(u->dcacheHits());
+        fold(u->dcacheMisses());
+        fold(u->progressEvents());
+    }
+    for (u32 q = 0; q < chip.config().numFpus(); ++q)
+        fold(w.chip.stats().counterValue(strprintf("fpu%u.conflicts", q)));
+    fold(chip.now());
+    return h;
+}
+
+} // namespace
+
+TEST(GuestUnit, ResultStreamMatchesParent)
+{
+    // Pinned against the frontend before waits were parked in the
+    // cycle engine: every counter, attribution cycle and the cycle
+    // count must come out bit for bit the same.
+    EXPECT_EQ(execResultStream(16, 1), 0x5d111f36c069dd2aull);
+    EXPECT_EQ(execResultStream(64, 2), 0x993a651e8c4ed066ull);
 }

@@ -219,9 +219,9 @@ TEST(Net, DegenerateOneWideDimensionsNeverRoute)
 
 TEST(Net, HopsClosedFormMatchesRouteLengthExhaustively)
 {
-    // hops() is computed per axis without building the route; it must
-    // equal the DOR route's length for every pair of every torus and
-    // mesh shape with axis extents 1-5.
+    // hops() reads a per-pair table built from the per-axis closed
+    // form; it must equal the DOR route's length for every pair of
+    // every torus and mesh shape with axis extents 1-5.
     for (bool torus : {false, true}) {
         for (u32 x = 1; x <= 5; ++x) {
             for (u32 y = 1; y <= 5; ++y) {
@@ -244,5 +244,25 @@ TEST(Net, HopsClosedFormMatchesRouteLengthExhaustively)
                 }
             }
         }
+    }
+}
+
+TEST(Net, HopsBeyondTheTableUseTheClosedForm)
+{
+    // Systems above kHopTableChips chips skip the table; their hops()
+    // must still match the route length (sampled pairs of a 17x17
+    // torus and a 300-chip line).
+    for (u32 x : {17u, 300u}) {
+        NetConfig cfg;
+        cfg.dimX = x;
+        cfg.dimY = x == 17 ? 17 : 1;
+        cfg.dimZ = 1;
+        cfg.torus = x == 17;
+        ASSERT_GT(cfg.numChips(), Topology::kHopTableChips);
+        const Topology fabric(cfg);
+        for (u32 s = 0; s < cfg.numChips(); s += 7)
+            for (u32 d = 0; d < cfg.numChips(); d += 11)
+                ASSERT_EQ(fabric.hops(s, d), fabric.route(s, d).size())
+                    << x << " " << s << "->" << d;
     }
 }

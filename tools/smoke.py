@@ -140,13 +140,18 @@ def fabric_obs(work, runner, program):
 
 def fabric_fault(work, runner, program):
     """A dead link and a seeded flaky link: the run completes, reports
-    its faults, repeats byte for byte, and its exports agree."""
+    its faults, retransmits at least once (so the checksum/NACK/retry
+    path runs), repeats byte for byte, and its exports agree."""
     a, b, errs = fabric_runs(work, runner, program, lambda d: [
-        "--disable-link", "0->1", "--link-flaky", "1->0=200000",
+        "--disable-link", "0->1", "--link-flaky", "1->0=800000",
         "--fabric-fault-seed", 7])
     for err in errs:
-        if "rerouted" not in err:
+        summary = re.search(r"\[fabric faults: \d+ rerouted, (\d+) "
+                            r"retransmits", err)
+        if not summary:
             fail(f"degraded run printed no fault summary:\n{err}")
+        if int(summary.group(1)) == 0:
+            fail(f"flaky link caused no retransmit:\n{err}")
     same_bytes(a, b, ["fabric.json", "heatmap.csv"])
     check(check_fabric, a / "fabric.json", "--heatmap", a / "heatmap.csv")
 
